@@ -53,20 +53,6 @@ let telemetry_mode () =
 
 let set_telemetry_mode m = telemetry_slot := Some m
 
-(* ---- accounting mode -------------------------------------------------- *)
-
-(* Per-process accounting is on by default ({!Simos.Account.of_env});
-   resolved once so the suite JSON's schema choice and every task agree. *)
-let account_slot = ref None
-
-let accounting_on () =
-  match !account_slot with
-  | Some b -> b
-  | None ->
-    let b = Simos.Account.of_env () in
-    account_slot := Some b;
-    b
-
 (* ---- simulation helpers ---------------------------------------------- *)
 
 (* Engines booted while a task runs are registered domain-locally so the
@@ -235,10 +221,7 @@ let exec_task t =
   in
   if exports <> [] then t.t_account <- Some (Account.merge_exports exports);
   match !kernels with
-  | last :: _ -> (
-    match Kernel.flight last with
-    | Some fl -> t.t_flight <- Gray_util.Flight.lines ~last:32 fl
-    | None -> ())
+  | last :: _ -> t.t_flight <- Gray_util.Flight.lines ~last:32 (Kernel.flight last)
   | [] -> ()
 
 let execute ?pool plans =
@@ -307,22 +290,14 @@ let plan_flight_tail p =
     (fun acc t -> if t.t_flight <> [] then t.t_flight else acc)
     [] p.p_tasks
 
-(* Schema v3 adds the per-experiment "accounting" object (and, for
-   experiments named in [regressed], the "flight_tail" post-mortem).
-   With GRAYBOX_ACCOUNT=off the emitted document is byte-identical to
-   schema v2 — the proof that accounting can be turned off without
-   perturbing the trajectory a downstream gate diffs against. *)
+(* Schema v3: each experiment carries its "accounting" object and, when
+   named in [regressed], the "flight_tail" post-mortem. *)
 let suite_json ~jobs ~suite_wall_ns ?(regressed = []) results =
   let open Gray_util.Json in
-  let acct_on = accounting_on () in
   let experiment (name, doc, plan, rendered) =
     let st = plan_stats plan in
-    let accounting =
-      if acct_on then [ ("accounting", Account.export_json (plan_account plan)) ]
-      else []
-    in
     let flight_tail =
-      if acct_on && List.mem name regressed then
+      if List.mem name regressed then
         match plan_flight_tail plan with
         | [] -> []
         | lines -> [ ("flight_tail", List (List.map (fun l -> String l) lines)) ]
@@ -337,8 +312,9 @@ let suite_json ~jobs ~suite_wall_ns ?(regressed = []) results =
          ("sim_ns", Int st.st_sim_ns);
          ("events", Int st.st_events);
          ("metrics", Gray_util.Telemetry.merge_metrics_json (plan_sinks plan));
+         ("accounting", Account.export_json (plan_account plan));
        ]
-      @ accounting @ flight_tail
+      @ flight_tail
       @ [
           ( "figures",
             List
@@ -354,9 +330,7 @@ let suite_json ~jobs ~suite_wall_ns ?(regressed = []) results =
   in
   Obj
     [
-      ( "schema",
-        String
-          (if acct_on then "graybox-bench-suite/3" else "graybox-bench-suite/2") );
+      ("schema", String "graybox-bench-suite/3");
       ("jobs", Int jobs);
       ("trials", Int (trials ()));
       ("telemetry", String (Gray_util.Telemetry.mode_to_string (telemetry_mode ())));

@@ -42,11 +42,9 @@ let run_sim mode files size_mib warm out noise seed fault_scenario crash_at extr
   let platform = Platform.with_noise Platform.linux_2_2 ~sigma:noise in
   let engine = Engine.create () in
   (* --crash-at wins over GRAYBOX_CRASH (boot's env fallback) *)
-  (* --flight-dump forces the recorder on even under GRAYBOX_FLIGHT=off *)
   let k =
     Kernel.boot ~engine ~platform ~data_disks:1 ~seed ?faults:fault_scenario
-      ?crash:(Option.map Crash.at_syscall crash_at) ?drift:drift_scenario
-      ?flight:(if flight_dump <> None then Some true else None) ()
+      ?crash:(Option.map Crash.at_syscall crash_at) ?drift:drift_scenario ()
   in
   (* no-op without a drift plane; with one, replay the schedule as a
      background process so the orderings below see the machine change *)
@@ -193,16 +191,16 @@ let run_sim mode files size_mib warm out noise seed fault_scenario crash_at extr
   | _ -> ());
   (* after every outcome — clean run, crash + repair, stale exhaustion —
      so the dump is the post-mortem tail of whatever actually happened *)
-  (match (flight_dump, Kernel.flight k) with
-  | Some path, Some fl -> (
+  (match flight_dump with
+  | Some path -> (
     try
       let oc = open_out path in
-      output_string oc (Gray_util.Flight.dump fl);
+      output_string oc (Gray_util.Flight.dump (Kernel.flight k));
       close_out oc
     with Sys_error msg ->
       Printf.eprintf "gbp: cannot write flight dump to %s: %s\n%!" path msg;
       exit_code := Gbp.exit_export_failed)
-  | _ -> ());
+  | None -> ());
   (match sink with
   | Some s when metrics -> print_string (Gray_util.Json.to_string_pretty (Tele.metrics_json s))
   | _ -> ());
@@ -528,9 +526,8 @@ let flight_dump_arg =
           "Write the kernel's flight-recorder tail (recent syscalls, \
            evictions, faults, drift epochs, ICL phase transitions in \
            simulated time) to $(docv) after the run — whatever its outcome, \
-           including crash recovery and stale-budget exhaustion.  Forces the \
-           recorder on even under GRAYBOX_FLIGHT=off; exit code 8 if the \
-           file cannot be written.")
+           including crash recovery and stale-budget exhaustion.  Exit code \
+           8 if the file cannot be written.")
 
 let recal_budget_arg =
   Arg.(

@@ -141,8 +141,8 @@ let rec run_hot_paths () =
   (* the accounting ledger's cost on the same batched read path: the
      callbacks bump a cached per-process stats row and the flight
      recorder stores five ints per run — vs the no-op callbacks above.
-     This is the zero-cost claim's measured side ("off" is the identical
-     workload with accounting compiled in but the kernel's bumps absent). *)
+     The kernel cannot run without the ledger (it is the only count), so
+     this row is the measure of what the ledger costs per page. *)
   let hit_accounted =
     let p = mk "hit-acct" and base = ref 0 in
     let acct = Account.create () in
@@ -166,11 +166,11 @@ let rec run_hot_paths () =
     "# per-process accounting on the batched read path: ledger bumps + flight \
      record vs no-ops\n";
   (match (measure hit_batched, measure hit_accounted) with
-  | Some off, Some on ->
+  | Some bare, Some ledger ->
     Printf.printf
-      "  acct  off      %7.1f ns/page   on      %7.1f ns/page   (%+.1f%%)\n" off
-      on
-      (if off > 0.0 then (on -. off) /. off *. 100.0 else 0.0)
+      "  acct  no-ops   %7.1f ns/page   ledger  %7.1f ns/page   (%+.1f%%)\n" bare
+      ledger
+      (if bare > 0.0 then (ledger -. bare) /. bare *. 100.0 else 0.0)
   | _ -> Printf.printf "  acct  (no estimate)\n");
   run_hot_paths_fs ()
 
@@ -286,8 +286,7 @@ let run_top ~noise ~seed =
       ~sigma:noise
   in
   let engine = Engine.create () in
-  (* accounting forced on: this mode is the ledger's viewer *)
-  let k = Kernel.boot ~engine ~platform ~data_disks:1 ~seed ~account:true () in
+  let k = Kernel.boot ~engine ~platform ~data_disks:1 ~seed () in
   let must = function Ok v -> v | Error e -> failwith (Kernel.error_to_string e) in
   Kernel.spawn k ~name:"setup" (fun env ->
       must (Kernel.mkdir env "/d0/data");
@@ -323,7 +322,7 @@ let run_top ~noise ~seed =
   done;
   Kernel.run k;
   match Kernel.account k with
-  | None -> assert false (* booted with ~account:true *)
+  | None -> assert false (* the ledger is always on *)
   | Some a ->
     Printf.printf
       "# per-process accounting: 3 readers + 2 memory hogs on %s (%d MB usable)\n"
@@ -333,8 +332,8 @@ let run_top ~noise ~seed =
     print_string (Account.blame_table a)
 
 (* --fleet: the scheduler-plane scaling row — mixed-profile fleets of
-   growing size on one proportional-share kernel (accounting forced on,
-   ledger reaped every 64 exits), with the simulated horizon, real
+   growing size on one proportional-share kernel (ledger reaped every 64
+   exits), with the simulated horizon, real
    wall-clock cost, event count, scheduler slices and ledger footprint
    per size.  The table is the "thousands of contending processes cost
    this much to simulate" answer; the experiment itself lives in
@@ -363,7 +362,7 @@ let run_fleet ~noise ~seed =
       in
       let engine = Engine.create () in
       let k =
-        Kernel.boot ~engine ~platform ~data_disks:1 ~seed ~account:true
+        Kernel.boot ~engine ~platform ~data_disks:1 ~seed
           ~sched:(Graybox_core.Fleet.sched_config d) ~procs:(procs + 8) ()
       in
       let prof_rng = Gray_util.Rng.create ~seed:(seed + 1) in
@@ -453,8 +452,7 @@ let top_arg =
         ~doc:
           "Run a deterministic multi-process contention scenario on a \
            memory-starved platform and print the per-process accounting \
-           table plus the who-evicted-whom blame matrix (accounting forced \
-           on).")
+           table plus the who-evicted-whom blame matrix.")
 
 let fleet_arg =
   Arg.(
@@ -464,7 +462,7 @@ let fleet_arg =
           "Print the multi-tenant fleet scaling table: mixed-profile fleets of \
            64/256/1024 processes on one proportional-share scheduler kernel, \
            with simulated horizon, wall-clock cost, event count and ledger \
-           footprint per size (accounting forced on, mid-run reaping).")
+           footprint per size (mid-run reaping).")
 
 let hot_paths_arg =
   Arg.(

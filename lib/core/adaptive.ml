@@ -132,17 +132,14 @@ module Make (Os : Os_intf.S) = struct
      by the health recovering on its own — reads as [Recalibrated]. *)
   let phase_mark env w ~icl ~before =
     if w.w_status <> before then
-      match Os.flight env with
-      | None -> ()
-      | Some fl ->
-        let code =
-          match w.w_status with
-          | Stale -> Flight.Stale
-          | Fresh -> Flight.Recalibrated
-          | Exhausted -> Flight.Exhausted
-        in
-        Flight.record fl ~ts:(Os.gettime env) ~code ~pid:(Os.pid env)
-          ~a:icl ~b:0
+      let code =
+        match w.w_status with
+        | Stale -> Flight.Stale
+        | Fresh -> Flight.Recalibrated
+        | Exhausted -> Flight.Exhausted
+      in
+      Flight.record (Os.flight env) ~ts:(Os.gettime env) ~code ~pid:(Os.pid env)
+        ~a:icl ~b:0
 
   (* ---- MAC wrapper ---- *)
 

@@ -34,10 +34,7 @@ type violation = {
    many-violation report. *)
 let flight_tail_events = 16
 
-let flight_tail k =
-  match Kernel.flight k with
-  | None -> []
-  | Some fl -> Gray_util.Flight.lines ~last:flight_tail_events fl
+let flight_tail k = Gray_util.Flight.lines ~last:flight_tail_events (Kernel.flight k)
 
 type report = {
   rp_workload_syscalls : int;

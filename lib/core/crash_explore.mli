@@ -31,10 +31,10 @@ type violation = {
       (** Post-mortem flight-recorder tail of the violating boundary's
           kernel ({!Gray_util.Flight.lines}, oldest first): the pre-crash
           syscall/eviction history plus the recovery run that failed the
-          invariants.  Empty when the recorder is off ([GRAYBOX_FLIGHT=off])
-          or the violation has no kernel (the boundary-0 layout check).
-          Deterministic — a pure function of (baseline, boundary), so the
-          merged report stays byte-identical at any [-j]. *)
+          invariants.  Empty only when the violation has no kernel (the
+          boundary-0 layout check).  Deterministic — a pure function of
+          (baseline, boundary), so the merged report stays byte-identical
+          at any [-j]. *)
 }
 
 type report = {

@@ -78,7 +78,7 @@ type t = {
   fds : (int, fd_info) Hashtbl.t;
   mutable next_fd : int;
   scratch : Bytes.t;  (* reused I/O buffer: reads discard, writes zero *)
-  fl : Gray_util.Flight.t option;
+  fl : Gray_util.Flight.t;
 }
 
 type env = t
@@ -100,11 +100,7 @@ let sleep_ns ns =
     with Unix.Unix_error ((EINTR | EAGAIN), _, _) -> ()
 
 let record t code =
-  match t.fl with
-  | None -> ()
-  | Some fl ->
-    Gray_util.Flight.record fl ~ts:(now_ns t) ~code ~pid:(Unix.getpid ()) ~a:0
-      ~b:0
+  Gray_util.Flight.record t.fl ~ts:(now_ns t) ~code ~pid:(Unix.getpid ()) ~a:0 ~b:0
 
 (* ---- defensive call wrapper ------------------------------------------- *)
 
@@ -584,7 +580,7 @@ let create ?(root = "") ?(deadline_ns = default_deadline_ns) () =
             fds = Hashtbl.create 32;
             next_fd = 3;
             scratch = Bytes.create scratch_bytes;
-            fl = Gray_util.Flight.of_env ();
+            fl = Gray_util.Flight.create ();
           })
 
 (* Close every descriptor still open (the temp-dir cleanup path of

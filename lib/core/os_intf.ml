@@ -106,7 +106,7 @@ module type S = sig
 
   val pid : env -> int
 
-  val flight : env -> Gray_util.Flight.t option
-  (** The backend's flight recorder, when one is on — ICL watchdogs
-      record their phase transitions here on either backend. *)
+  val flight : env -> Gray_util.Flight.t
+  (** The backend's flight recorder — ICL watchdogs record their phase
+      transitions here on either backend. *)
 end

@@ -15,6 +15,8 @@ type stats = {
   mutable syscalls : int;
   mutable hits : int;
   mutable misses : int;
+  mutable reads : int;
+  mutable writes : int;
   mutable fetches : int;
   mutable writebacks : int;
   mutable bytes_read : int;
@@ -37,6 +39,8 @@ let fresh_stats ~pid ~name =
     syscalls = 0;
     hits = 0;
     misses = 0;
+    reads = 0;
+    writes = 0;
     fetches = 0;
     writebacks = 0;
     bytes_read = 0;
@@ -212,6 +216,8 @@ let add_into acc st =
   Array.iteri (fun i n -> acc.sys.(i) <- acc.sys.(i) + n) st.sys;
   acc.hits <- acc.hits + st.hits;
   acc.misses <- acc.misses + st.misses;
+  acc.reads <- acc.reads + st.reads;
+  acc.writes <- acc.writes + st.writes;
   acc.fetches <- acc.fetches + st.fetches;
   acc.writebacks <- acc.writebacks + st.writebacks;
   acc.bytes_read <- acc.bytes_read + st.bytes_read;
@@ -224,6 +230,14 @@ let add_into acc st =
   acc.faults <- acc.faults + st.faults;
   acc.cpu_ns <- acc.cpu_ns + st.cpu_ns;
   acc.block_ns <- acc.block_ns + st.block_ns
+
+(* Every live row plus every reaped aggregate: each process is counted
+   once, whether or not it has been folded away yet. *)
+let total t =
+  let acc = fresh_stats ~pid:0 ~name:"total" in
+  Array.iter (Option.iter (add_into acc)) t.procs;
+  Hashtbl.iter (fun _ st -> add_into acc st) t.reaped;
+  acc
 
 (* ---- exit-time reap --------------------------------------------------- *)
 
@@ -471,16 +485,3 @@ let blame_table t =
         :: List.map (fun v -> string_of_int (blame t ~evictor:e ~victim:v)) victims))
     evictors;
   Table.render tbl
-
-(* ---- env control ------------------------------------------------------ *)
-
-let env_on =
-  lazy
-    (Gray_util.Env.parse ~var:"GRAYBOX_ACCOUNT" ~expected:"on or off"
-       ~on_invalid:`Exit ~default:true (fun token ->
-         match token with
-         | "on" | "1" -> Gray_util.Env.Value true
-         | "off" | "none" | "0" -> Value false
-         | _ -> Invalid))
-
-let of_env () = Lazy.force env_on

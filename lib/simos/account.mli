@@ -10,10 +10,13 @@
       one mutable-field store (or one [int array] store for the
       per-syscall-kind counters, keyed by {!Gray_util.Flight.code_index}
       — one vocabulary for recorder and ledger);
-    - {b attribution exactness}: every global counter the machine keeps
-      (pool hits/misses/evictions, telemetry syscall counters) must
-      equal the sum of the per-pid cells within one boot epoch — there
-      is no "unattributed" bucket;
+    - {b one count in one place}: the ledger is the kernel's only
+      count of reads, writes, bytes, fetches, write-backs, page-ins,
+      page-outs and zero-fills — {!Kernel.counters} is derived from
+      {!total} — and the counters kept below the kernel (pool
+      hits/misses/evictions, telemetry syscall counters) equal the sum
+      of the per-pid cells within one boot epoch: there is no
+      "unattributed" bucket;
     - {b initiator semantics}: costs are charged to the process {e in
       whose syscall they occur}.  A sync-driven writeback is the
       syncing process's cost; an eviction performed while process A
@@ -23,7 +26,8 @@
     The ledger is machine state: {!Kernel.restart} resets it (the
     rebooted machine has no processes, so it has no per-process
     history), unlike the experiment-level RNG streams and drift
-    schedule which deliberately survive.
+    schedule which deliberately survive.  The kernel folds {!total}
+    into a carry first, so its counters survive the reboot.
 
     {b Fleet scale.}  The flat blame matrix is capped at a
     1024-pid stride (8 MB); cells naming a higher pid spill to a hash
@@ -46,6 +50,10 @@ type stats = {
   mutable syscalls : int;  (** Total syscall entries. *)
   mutable hits : int;  (** Page-cache hits (file + anon). *)
   mutable misses : int;
+  mutable reads : int;
+      (** Completed non-empty reads ([sys] counts {e entries}, failed
+          and empty reads included). *)
+  mutable writes : int;  (** Completed writes, empty ones included. *)
   mutable fetches : int;  (** Disk reads performed to fill file pages. *)
   mutable writebacks : int;  (** Dirty file pages written to disk. *)
   mutable bytes_read : int;
@@ -89,6 +97,12 @@ val reap : t -> unit
     unchanged by a reap; {!rows} and {!blame_triples} shrink.  Cheap
     when nothing has exited. *)
 
+val total : t -> stats
+(** Every live row plus every reaped aggregate, cell by cell: each
+    process since boot (or the last {!reset}) counted exactly once,
+    reaped or not.  A fresh record named ["total"] with [st_pid = 0];
+    costs O(live rows + reaped names). *)
+
 val reaped_procs : t -> int
 (** Processes folded away by {!reap} since boot/reset. *)
 
@@ -120,6 +134,8 @@ val merge_exports : export list -> export
 val export_is_empty : export -> bool
 val export_blame_nonempty : export -> bool
 val export_json : export -> Gray_util.Json.t
+(** Every cell but [reads] and [writes], which only back
+    {!Kernel.counters}. *)
 
 (** {1 Rendering} *)
 
@@ -128,9 +144,3 @@ val top_table : t -> string
 
 val blame_table : t -> string
 (** The who-evicted-whom matrix, evictor rows x victim columns. *)
-
-val of_env : unit -> bool
-(** Resolve [GRAYBOX_ACCOUNT] (validated once per process): unset,
-    empty, [on] or [1] enables accounting — the ledger is on by
-    default; [off]/[none]/[0] disables it; anything else is a hard
-    configuration error (exit 2). *)

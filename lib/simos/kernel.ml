@@ -40,16 +40,16 @@ type proc = {
 
 type volume = { mutable v_fs : Fs.t; v_disk : Disk.t }
 
-type mutable_counters = {
-  mutable m_reads : int;
-  mutable m_writes : int;
-  mutable m_bytes_read : int;
-  mutable m_bytes_written : int;
-  mutable m_page_ins : int;
-  mutable m_page_outs : int;
-  mutable m_zero_fills : int;
-  mutable m_file_fetches : int;
-  mutable m_file_writebacks : int;
+type counters = {
+  c_reads : int;
+  c_writes : int;
+  c_bytes_read : int;
+  c_bytes_written : int;
+  c_page_ins : int;
+  c_page_outs : int;
+  c_zero_fills : int;
+  c_file_fetches : int;
+  c_file_writebacks : int;
 }
 
 type t = {
@@ -64,15 +64,15 @@ type t = {
   k_procs : (int, proc) Hashtbl.t;
   k_sched : Sched.t option;
   mutable k_next_pid : int;
-  k_ctr : mutable_counters;
   k_faults : Fault.t option;
   k_crash : Crash.t option;
   k_drift : Drift.t option;
-  k_account : Account.t option;
-  k_flight : Flight.t option;
+  k_account : Account.t;  (* the only count: [counters] sums it *)
+  k_flight : Flight.t;
+  mutable k_carry : counters;  (* added to the ledger's totals; see [counters] *)
 }
 
-type env = { e_k : t; e_proc : proc; mutable e_acct : Account.stats option }
+type env = { e_k : t; e_proc : proc; e_acct : Account.stats }
 
 (* Volume [v]'s inodes are made globally unique by packing the volume index
    into the high bits; bit 43 marks the pseudo-file that stands for the
@@ -88,6 +88,8 @@ let gino_is_meta gino = gino land meta_bit <> 0
 let boot ~engine ~platform ?(data_disks = 4) ?volume_blocks ?faults ?crash ?drift
     ?account ?flight ?sched ?(procs = 16) ~seed () =
   if data_disks < 1 then invalid_arg "Kernel.boot: need at least one data disk";
+  if account = Some false || flight = Some false then
+    invalid_arg "Kernel.boot: the ledger and the flight recorder are always on";
   let make_volume _ =
     let disk = Disk.create platform.Platform.disk in
     let blocks = Option.value volume_blocks ~default:(Disk.capacity_blocks disk) in
@@ -113,18 +115,6 @@ let boot ~engine ~platform ?(data_disks = 4) ?volume_blocks ?faults ?crash ?drif
     k_procs = Hashtbl.create (max 16 procs);
     k_sched = Option.map Sched.create sched;
     k_next_pid = 1;
-    k_ctr =
-      {
-        m_reads = 0;
-        m_writes = 0;
-        m_bytes_read = 0;
-        m_bytes_written = 0;
-        m_page_ins = 0;
-        m_page_outs = 0;
-        m_zero_fills = 0;
-        m_file_fetches = 0;
-        m_file_writebacks = 0;
-      };
     k_faults =
       (match faults with
       | Some scenario -> Some (Fault.create scenario)
@@ -148,20 +138,21 @@ let boot ~engine ~platform ?(data_disks = 4) ?volume_blocks ?faults ?crash ?drif
       | None ->
         (* GRAYBOX_DRIFT=quiet|canonical|heavy — same opt-in pattern *)
         Option.map Drift.create (Drift.of_env ()));
-    (* Accounting and the flight recorder are on by default (they draw no
-       RNG and advance no clock, so the simulation is unaffected);
-       GRAYBOX_ACCOUNT=off / GRAYBOX_FLIGHT=off opt out, and explicit
-       boot arguments win over the environment. *)
-    k_account =
-      (match account with
-      | Some true -> Some (Account.create ())
-      | Some false -> None
-      | None -> if Account.of_env () then Some (Account.create ()) else None);
-    k_flight =
-      (match flight with
-      | Some true -> Some (Flight.create ())
-      | Some false -> None
-      | None -> Flight.of_env ());
+    (* neither draws RNG nor advances the clock *)
+    k_account = Account.create ();
+    k_flight = Flight.create ();
+    k_carry =
+      {
+        c_reads = 0;
+        c_writes = 0;
+        c_bytes_read = 0;
+        c_bytes_written = 0;
+        c_page_ins = 0;
+        c_page_outs = 0;
+        c_zero_fills = 0;
+        c_file_fetches = 0;
+        c_file_writebacks = 0;
+      };
   }
 
 (* Adopt a volume image on a freshly booted kernel (the snapshot-mode
@@ -181,14 +172,10 @@ let volume_disk t i = t.k_volumes.(i).v_disk
 let swap_disk t = t.k_swap
 let pid env = env.e_proc.p_pid
 let kernel_of_env env = env.e_k
-let account t = t.k_account
+let account t = Some t.k_account
 let flight t = t.k_flight
 let sched t = t.k_sched
 let cpu_busy_ns t = Resource.busy_ns t.k_cpu
-
-(* Non-zero only when accounting is on, so accounting-off telemetry keeps
-   the untagged (pre-accounting) entry shape. *)
-let spid env = match env.e_acct with None -> 0 | Some st -> st.Account.st_pid
 
 let fresh_token env =
   let proc = env.e_proc in
@@ -228,7 +215,6 @@ let spawn t ?(name = "proc") ?(weight = 1) ?at body =
       p_regions = [];
     }
   in
-  let env = { e_k = t; e_proc = proc; e_acct = None } in
   (* Dead regions already dropped their pages (cache and swap) at vfree
      time, and every anonymous page of this process lives in some region,
      so walking the live regions covers the whole address space — no
@@ -253,22 +239,17 @@ let spawn t ?(name = "proc") ?(weight = 1) ?at body =
     (match t.k_sched with
     | None -> ()
     | Some s -> Sched.unregister s ~pid:p_pid);
-    match t.k_account with
-    | None -> ()
-    | Some a -> Account.note_exit a ~pid:p_pid
+    Account.note_exit t.k_account ~pid:p_pid
   in
   (* Registration happens when the fiber actually starts, inside the same
      protected scope as [cleanup]: a fiber cancelled before its first
-     instruction (crash-path queue drain) then leaves no trace either. *)
+     instruction (crash-path queue drain) then leaves no trace either —
+     no proc entry and no ledger row.  The row is cached in the env, so
+     per-syscall bumps never look it up. *)
   Engine.spawn t.k_engine ?at ~name (fun () ->
       Hashtbl.replace t.k_procs p_pid proc;
-      (* The ledger row appears when the process actually starts, inside
-         the same scope as registration: a fiber cancelled before its
-         first instruction leaves no accounting trace either.  The row is
-         cached in the env so per-syscall bumps never look it up. *)
-      (match t.k_account with
-      | None -> ()
-      | Some a -> env.e_acct <- Some (Account.note_spawn a ~pid:p_pid ~name));
+      let e_acct = Account.note_spawn t.k_account ~pid:p_pid ~name in
+      let env = { e_k = t; e_proc = proc; e_acct } in
       (match t.k_sched with
       | None -> ()
       | Some s -> Sched.register s ~pid:p_pid ~weight);
@@ -294,22 +275,51 @@ let crash_tick env =
 (* Every syscall passes through here at entry: flight-record the boundary
    (before the crash tick, so the boundary that kills the machine is the
    last event in the black box), bump the caller's per-kind ledger cell,
-   then tick the crash plane.  All three legs are branch-plus-store —
-   nothing allocates, draws RNG, or moves the clock. *)
+   then tick the crash plane.  None of the three allocates, draws RNG,
+   or moves the clock. *)
 let sys_entry env code =
   let t = env.e_k in
-  (match t.k_flight with
-  | None -> ()
-  | Some fl ->
-    let boundary =
-      match t.k_crash with Some c -> Crash.syscalls c + 1 | None -> 0
-    in
-    Flight.record fl ~ts:(Engine.now t.k_engine) ~code ~pid:env.e_proc.p_pid
-      ~a:boundary ~b:0);
-  (match env.e_acct with
-  | None -> ()
-  | Some st -> Account.note_syscall st code);
+  let boundary = match t.k_crash with Some c -> Crash.syscalls c + 1 | None -> 0 in
+  Flight.record t.k_flight ~ts:(Engine.now t.k_engine) ~code ~pid:env.e_proc.p_pid
+    ~a:boundary ~b:0;
+  Account.note_syscall env.e_acct code;
   crash_tick env
+
+(* ---- counters ---- *)
+
+(* The ledger is the only count: the machine-wide counters are its
+   totals (live rows and reaped aggregates) plus a carry, which holds
+   what [restart] took out of the ledger minus what [reset_counters]
+   zeroed. *)
+let counters t =
+  let st = Account.total t.k_account and c = t.k_carry in
+  {
+    c_reads = c.c_reads + st.Account.reads;
+    c_writes = c.c_writes + st.Account.writes;
+    c_bytes_read = c.c_bytes_read + st.Account.bytes_read;
+    c_bytes_written = c.c_bytes_written + st.Account.bytes_written;
+    c_page_ins = c.c_page_ins + st.Account.page_ins;
+    c_page_outs = c.c_page_outs + st.Account.page_outs;
+    c_zero_fills = c.c_zero_fills + st.Account.zero_fills;
+    c_file_fetches = c.c_file_fetches + st.Account.fetches;
+    c_file_writebacks = c.c_file_writebacks + st.Account.writebacks;
+  }
+
+(* The carry absorbs the current totals, so [counters] reads zero. *)
+let reset_counters t =
+  let c = counters t and k = t.k_carry in
+  t.k_carry <-
+    {
+      c_reads = k.c_reads - c.c_reads;
+      c_writes = k.c_writes - c.c_writes;
+      c_bytes_read = k.c_bytes_read - c.c_bytes_read;
+      c_bytes_written = k.c_bytes_written - c.c_bytes_written;
+      c_page_ins = k.c_page_ins - c.c_page_ins;
+      c_page_outs = k.c_page_outs - c.c_page_outs;
+      c_zero_fills = k.c_zero_fills - c.c_zero_fills;
+      c_file_fetches = k.c_file_fetches - c.c_file_fetches;
+      c_file_writebacks = k.c_file_writebacks - c.c_file_writebacks;
+    }
 
 (* Whole-machine restart after a crash: volatile state (page cache,
    anonymous memory, swap residency, processes) is discarded, each
@@ -319,11 +329,12 @@ let sys_entry env code =
 
    The per-process accounting ledger does NOT survive: the rebooted
    machine has no processes, so pid-indexed attribution (and the blame
-   matrix) restarts empty.  The drift plane's timer-coarsening regime is
-   likewise machine state — its daemon died with the crash and cannot
-   keep the regime in force, so the reboot returns the clock to the
-   platform resolution (the schedule itself, experiment state, survives
-   and is not replayed).  The flight recorder deliberately survives: it
+   matrix) restarts empty — after its totals move into the carry, which
+   is how the counters survive.  The drift plane's timer-coarsening
+   regime is likewise machine state — its daemon died with the crash and
+   cannot keep the regime in force, so the reboot returns the clock to
+   the platform resolution (the schedule itself, experiment state,
+   survives and is not replayed).  The flight recorder deliberately survives: it
    is the black box, and the pre-crash tail is exactly what a post-crash
    dump is for. *)
 let restart t =
@@ -338,7 +349,8 @@ let restart t =
   Disk.reboot t.k_swap;
   Resource.reboot t.k_cpu;
   t.k_engine <- Engine.create ();
-  Option.iter Account.reset t.k_account;
+  t.k_carry <- counters t;
+  Account.reset t.k_account;
   Option.iter Sched.reset t.k_sched;
   Option.iter Drift.note_restart t.k_drift;
   match t.k_crash with
@@ -385,9 +397,8 @@ let noised t ns =
    within one call queue behind each other correctly. *)
 let start_call env = Engine.now env.e_k.k_engine + env.e_k.k_platform.Platform.syscall_overhead_ns
 
-let finish_call env ~t0 ~now =
+let finish_call env ~now =
   let total = now - Engine.now env.e_k.k_engine in
-  ignore t0;
   let extra =
     match env.e_k.k_faults with
     | None -> 0
@@ -425,15 +436,10 @@ let injected env target =
     if hit then begin
       Tele.event "simos.fault.inject"
         ~attrs:(fun () -> [ ("target", Tele.String (target_name target)) ]);
-      (match env.e_acct with
-      | None -> ()
-      | Some st -> st.Account.faults <- st.Account.faults + 1);
-      match env.e_k.k_flight with
-      | None -> ()
-      | Some fl ->
-        Flight.record fl
-          ~ts:(Engine.now env.e_k.k_engine)
-          ~code:Flight.Fault ~pid:env.e_proc.p_pid ~a:(target_index target) ~b:0
+      env.e_acct.Account.faults <- env.e_acct.Account.faults + 1;
+      Flight.record env.e_k.k_flight
+        ~ts:(Engine.now env.e_k.k_engine)
+        ~code:Flight.Fault ~pid:env.e_proc.p_pid ~a:(target_index target) ~b:0
     end;
     hit
 
@@ -454,17 +460,12 @@ let copy_cost t bytes =
    sync-driven or read-driven writeback of somebody else's dirty page is
    the caller's cost and the caller's eviction. *)
 let writeback_victim env ~now key ~dirty =
-  let t = env.e_k in
+  let t = env.e_k and st = env.e_acct in
   let victim_pid = match key with Page.Anon { pid; _ } -> pid | Page.File _ -> 0 in
-  (match t.k_account, env.e_acct with
-  | Some a, Some st -> Account.note_eviction a ~evictor:st ~victim_pid
-  | _ -> ());
-  (match t.k_flight with
-  | None -> ()
-  | Some fl ->
-    Flight.record fl ~ts:now ~code:Flight.Evict ~pid:env.e_proc.p_pid
-      ~a:victim_pid
-      ~b:(if dirty then 1 else 0));
+  Account.note_eviction t.k_account ~evictor:st ~victim_pid;
+  Flight.record t.k_flight ~ts:now ~code:Flight.Evict ~pid:env.e_proc.p_pid
+    ~a:victim_pid
+    ~b:(if dirty then 1 else 0);
   match key with
   | Page.File { ino = gino; idx } ->
     if dirty then begin
@@ -477,13 +478,9 @@ let writeback_victim env ~now key ~dirty =
       match block with
       | None -> now
       | Some b ->
-        t.k_ctr.m_file_writebacks <- t.k_ctr.m_file_writebacks + 1;
         let d = Disk.access v.v_disk ~now ~start_block:b ~nblocks:1 in
-        (match env.e_acct with
-        | None -> ()
-        | Some st ->
-          st.Account.writebacks <- st.Account.writebacks + 1;
-          st.Account.block_ns <- st.Account.block_ns + d);
+        st.Account.writebacks <- st.Account.writebacks + 1;
+        st.Account.block_ns <- st.Account.block_ns + d;
         now + d
     end
     else now
@@ -491,12 +488,8 @@ let writeback_victim env ~now key ~dirty =
     (* Anonymous pages are dirty by construction (touches write). *)
     let slot = ((pid * 1_000_003) + vpn) mod Disk.capacity_blocks t.k_swap in
     let d = Disk.access t.k_swap ~now ~start_block:slot ~nblocks:1 in
-    t.k_ctr.m_page_outs <- t.k_ctr.m_page_outs + 1;
-    (match env.e_acct with
-    | None -> ()
-    | Some st ->
-      st.Account.page_outs <- st.Account.page_outs + 1;
-      st.Account.block_ns <- st.Account.block_ns + d);
+    st.Account.page_outs <- st.Account.page_outs + 1;
+    st.Account.block_ns <- st.Account.block_ns + d;
     Page.Tbl.replace t.k_swapped key ();
     now + d
 
@@ -508,18 +501,11 @@ let note_evictions env ~n =
     | None -> ()
     | Some s ->
       Tele.add_in s ~n "simos.kernel.evictions";
-      Tele.point s "simos.kernel.evict" ~spid:(spid env)
+      Tele.point s "simos.kernel.evict" ~spid:(pid env)
         ~attrs:(fun () -> [ ("pages", Tele.Int n) ])
 
-let acct_hit env =
-  match env.e_acct with
-  | None -> ()
-  | Some st -> st.Account.hits <- st.Account.hits + 1
-
-let acct_miss env =
-  match env.e_acct with
-  | None -> ()
-  | Some st -> st.Account.misses <- st.Account.misses + 1
+let acct_hit env = env.e_acct.Account.hits <- env.e_acct.Account.hits + 1
+let acct_miss env = env.e_acct.Account.misses <- env.e_acct.Account.misses + 1
 
 let handle_evictions env ~now evicted =
   let cur = ref now in
@@ -555,9 +541,7 @@ let inode_read env ~now ~vol ~ino =
   end
   else begin
     let d = Disk.access v.v_disk ~now ~start_block:block ~nblocks:1 in
-    (match env.e_acct with
-    | None -> ()
-    | Some st -> st.Account.block_ns <- st.Account.block_ns + d);
+    env.e_acct.Account.block_ns <- env.e_acct.Account.block_ns + d;
     fill_page env ~now:(now + d) key
   end
 
@@ -575,11 +559,11 @@ let simple_path_call env ~name path f =
       let t0 = Engine.now env.e_k.k_engine in
       let now = start_call env in
       let result, now = f vol rest now in
-      finish_call env ~t0 ~now;
+      finish_call env ~now;
       (match Tele.active () with
       | None -> ()
       | Some s ->
-        Tele.span_end s name ~ts:t0 ~spid:(spid env)
+        Tele.span_end s name ~ts:t0 ~spid:(pid env)
           ~attrs:(fun () -> [ ("path", Tele.String path) ]));
       result)
 
@@ -639,7 +623,7 @@ let io_pages env ~vol ~ino ~off ~len ~write =
   let now = ref (start_call env) in
   let first_page = off / psz and last_page = (off + len - 1) / psz in
   let pending_start = ref (-1) and pending_count = ref 0 in
-  let acct = env.e_acct in
+  let st = env.e_acct in
   let flush_pending () =
     if !pending_count > 0 then begin
       let d =
@@ -647,12 +631,8 @@ let io_pages env ~vol ~ino ~off ~len ~write =
           ~nblocks:!pending_count
       in
       now := !now + d;
-      t.k_ctr.m_file_fetches <- t.k_ctr.m_file_fetches + !pending_count;
-      (match acct with
-      | None -> ()
-      | Some st ->
-        st.Account.fetches <- st.Account.fetches + !pending_count;
-        st.Account.block_ns <- st.Account.block_ns + d);
+      st.Account.fetches <- st.Account.fetches + !pending_count;
+      st.Account.block_ns <- st.Account.block_ns + d;
       pending_start := -1;
       pending_count := 0
     end
@@ -691,13 +671,13 @@ let io_pages env ~vol ~ino ~off ~len ~write =
       let page_lo = p * psz in
       now := !now + copy_cost t (min (off + len) (page_lo + psz) - max off page_lo));
   flush_pending ();
-  finish_call env ~t0 ~now:!now;
+  finish_call env ~now:!now;
   match tele with
   | None -> ()
   | Some s ->
     Tele.span_end s
       (if write then "simos.kernel.write" else "simos.kernel.read")
-      ~ts:t0 ~spid:(spid env)
+      ~ts:t0 ~spid:(pid env)
       ~attrs:(fun () -> [ ("off", Tele.Int off); ("len", Tele.Int len) ])
 
 let read env fd ~off ~len =
@@ -719,11 +699,9 @@ let read env fd ~off ~len =
     else begin
       io_pages env ~vol:of_vol ~ino:of_ino ~off ~len ~write:false;
       Fs.mark_atime fs ~ino:of_ino ~now:(Engine.now t.k_engine);
-      t.k_ctr.m_reads <- t.k_ctr.m_reads + 1;
-      t.k_ctr.m_bytes_read <- t.k_ctr.m_bytes_read + len;
-      (match env.e_acct with
-      | None -> ()
-      | Some st -> st.Account.bytes_read <- st.Account.bytes_read + len);
+      let st = env.e_acct in
+      st.Account.reads <- st.Account.reads + 1;
+      st.Account.bytes_read <- st.Account.bytes_read + len;
       Ok len
     end
 
@@ -748,11 +726,9 @@ let write env fd ~off ~len =
       if len > 0 then io_pages env ~vol:of_vol ~ino:of_ino ~off ~len ~write:true
       else Engine.delay (noised t t.k_platform.Platform.syscall_overhead_ns);
       Fs.mark_mtime fs ~ino:of_ino ~now:(Engine.now t.k_engine);
-      t.k_ctr.m_writes <- t.k_ctr.m_writes + 1;
-      t.k_ctr.m_bytes_written <- t.k_ctr.m_bytes_written + len;
-      (match env.e_acct with
-      | None -> ()
-      | Some st -> st.Account.bytes_written <- st.Account.bytes_written + len);
+      let st = env.e_acct in
+      st.Account.writes <- st.Account.writes + 1;
+      st.Account.bytes_written <- st.Account.bytes_written + len;
       Ok len)
 
 let mkdir env path =
@@ -794,7 +770,6 @@ let rename env ~src ~dst =
     if v1 <> v2 then Error Bad_path
     else
       simple_path_call env ~name:"simos.kernel.rename" src (fun _ _ now ->
-          ignore r1;
           (lift_fs (Fs.rename env.e_k.k_volumes.(v1).v_fs ~src:r1 ~dst:r2), now))
 
 let readdir env path =
@@ -860,12 +835,9 @@ let fsync env fd =
               ~nblocks:!pending_count
           in
           now := !now + d;
-          t.k_ctr.m_file_writebacks <- t.k_ctr.m_file_writebacks + !pending_count;
-          (match env.e_acct with
-          | None -> ()
-          | Some st ->
-            st.Account.writebacks <- st.Account.writebacks + !pending_count;
-            st.Account.block_ns <- st.Account.block_ns + d);
+          let st = env.e_acct in
+          st.Account.writebacks <- st.Account.writebacks + !pending_count;
+          st.Account.block_ns <- st.Account.block_ns + d;
           pending_start := -1;
           pending_count := 0
         end
@@ -894,15 +866,13 @@ let fsync env fd =
           ~nblocks:1
       in
       now := !now + d;
-      (match env.e_acct with
-      | None -> ()
-      | Some st -> st.Account.block_ns <- st.Account.block_ns + d);
+      env.e_acct.Account.block_ns <- env.e_acct.Account.block_ns + d;
       (match Fs.fsync_ino v.v_fs ~ino:of_ino with Ok () -> () | Error _ -> ());
-      finish_call env ~t0 ~now:!now;
+      finish_call env ~now:!now;
       (match Tele.active () with
       | None -> ()
       | Some s ->
-        Tele.span_end s "simos.kernel.fsync" ~ts:t0 ~spid:(spid env)
+        Tele.span_end s "simos.kernel.fsync" ~ts:t0 ~spid:(pid env)
           ~attrs:(fun () -> [ ("ino", Tele.Int of_ino) ]));
       Ok ()
     end
@@ -940,12 +910,9 @@ let sync env =
             ~nblocks:!pending_count
         in
         now := !now + d;
-        t.k_ctr.m_file_writebacks <- t.k_ctr.m_file_writebacks + !pending_count;
-        (match env.e_acct with
-        | None -> ()
-        | Some st ->
-          st.Account.writebacks <- st.Account.writebacks + !pending_count;
-          st.Account.block_ns <- st.Account.block_ns + d);
+        let st = env.e_acct in
+        st.Account.writebacks <- st.Account.writebacks + !pending_count;
+        st.Account.block_ns <- st.Account.block_ns + d;
         pending_count := 0
       end
     in
@@ -964,10 +931,10 @@ let sync env =
       (List.sort compare !dirty);
     flush_pending ();
     Array.iter (fun v -> Fs.sync_all v.v_fs) t.k_volumes;
-    finish_call env ~t0 ~now:!now;
+    finish_call env ~now:!now;
     (match Tele.active () with
     | None -> ()
-    | Some s -> Tele.span_end s "simos.kernel.sync" ~ts:t0 ~spid:(spid env))
+    | Some s -> Tele.span_end s "simos.kernel.sync" ~ts:t0 ~spid:(pid env))
 
 (* Side-band whole-file content (the FLDC journal records): replaces the
    file's blob without touching its block layout.  Volatile until fsynced,
@@ -1066,6 +1033,7 @@ let touch_pages env region ~first ~count =
   let results = Array.make count 0 in
   let base_vpn = region.r_start_vpn + first in
   let owner = region.r_owner in
+  let st = env.e_acct in
   let before = ref !now in
   Memory.access_run t.k_mem ~n:count
     ~key:(fun i -> Page.Anon { pid = owner; vpn = base_vpn + i })
@@ -1084,25 +1052,18 @@ let touch_pages env region ~first ~count =
         let d = Disk.access t.k_swap ~now:!now ~start_block:slot ~nblocks:1 in
         now := !now + d;
         Page.Tbl.remove t.k_swapped key;
-        t.k_ctr.m_page_ins <- t.k_ctr.m_page_ins + 1;
-        (match env.e_acct with
-        | None -> ()
-        | Some st ->
-          st.Account.page_ins <- st.Account.page_ins + 1;
-          st.Account.block_ns <- st.Account.block_ns + d);
+        st.Account.page_ins <- st.Account.page_ins + 1;
+        st.Account.block_ns <- st.Account.block_ns + d;
         match tele with
         | None -> ()
-        | Some s -> Tele.point s "simos.kernel.page_in" ~spid:(spid env)
+        | Some s -> Tele.point s "simos.kernel.page_in" ~spid:(pid env)
       end
       else begin
         now := !now + plat.Platform.page_alloc_zero_ns;
-        t.k_ctr.m_zero_fills <- t.k_ctr.m_zero_fills + 1;
-        (match env.e_acct with
-        | None -> ()
-        | Some st -> st.Account.zero_fills <- st.Account.zero_fills + 1);
+        st.Account.zero_fills <- st.Account.zero_fills + 1;
         match tele with
         | None -> ()
-        | Some s -> Tele.point s "simos.kernel.zero_fill" ~spid:(spid env)
+        | Some s -> Tele.point s "simos.kernel.zero_fill" ~spid:(pid env)
       end)
     ~on_evict:(fun k ~dirty -> now := writeback_victim env ~now:!now k ~dirty)
     ~on_page_end:(fun i ~evicted ->
@@ -1119,7 +1080,7 @@ let touch_pages env region ~first ~count =
   (match tele with
   | None -> ()
   | Some s ->
-    Tele.span_end s "simos.kernel.touch_pages" ~ts:t0 ~spid:(spid env)
+    Tele.span_end s "simos.kernel.touch_pages" ~ts:t0 ~spid:(pid env)
       ~attrs:(fun () -> [ ("pages", Tele.Int count) ]));
   results
 
@@ -1129,7 +1090,8 @@ let vmstat env =
   sys_entry env Flight.Vmstat;
   let t = env.e_k in
   Engine.delay (noised t t.k_platform.Platform.syscall_overhead_ns);
-  { vm_page_ins = t.k_ctr.m_page_ins; vm_page_outs = t.k_ctr.m_page_outs }
+  let c = counters t in
+  { vm_page_ins = c.c_page_ins; vm_page_outs = c.c_page_outs }
 
 (* ---- CPU ---- *)
 
@@ -1139,9 +1101,7 @@ let compute env ~ns =
   let t = env.e_k in
   let duration = noised t ns in
   (* CPU attribution is service time (the noised burst), not queueing. *)
-  (match env.e_acct with
-  | None -> ()
-  | Some st -> st.Account.cpu_ns <- st.Account.cpu_ns + duration);
+  env.e_acct.Account.cpu_ns <- env.e_acct.Account.cpu_ns + duration;
   match t.k_sched with
   | Some s when Sched.participants s > 1 && duration > 0 ->
     (* Contended: reserve the burst one weighted quantum at a time,
@@ -1202,11 +1162,8 @@ let start_fault_daemons t =
               if evicted > 0 then begin
                 Tele.event "simos.fault.disturb"
                   ~attrs:(fun () -> [ ("evicted", Tele.Int evicted) ]);
-                match t.k_flight with
-                | None -> ()
-                | Some fl ->
-                  Flight.record fl ~ts:(Engine.now t.k_engine)
-                    ~code:Flight.Disturb ~pid:(pid env) ~a:evicted ~b:0
+                Flight.record t.k_flight ~ts:(Engine.now t.k_engine)
+                  ~code:Flight.Disturb ~pid:(pid env) ~a:evicted ~b:0
               end;
               Engine.delay d.Fault.di_period_ns;
               loop ()
@@ -1224,11 +1181,8 @@ let start_fault_daemons t =
               ignore (touch_pages env region ~first:0 ~count:p.Fault.pr_pages);
               Fault.note_pressure_wave f;
               Tele.event "simos.fault.pressure_wave";
-              (match t.k_flight with
-              | None -> ()
-              | Some fl ->
-                Flight.record fl ~ts:(Engine.now t.k_engine)
-                  ~code:Flight.Pressure ~pid:(pid env) ~a:p.Fault.pr_pages ~b:0);
+              Flight.record t.k_flight ~ts:(Engine.now t.k_engine)
+                ~code:Flight.Pressure ~pid:(pid env) ~a:p.Fault.pr_pages ~b:0;
               Engine.delay p.Fault.pr_hold_ns;
               vrelease env region ~first:0 ~count:p.Fault.pr_pages;
               Engine.delay p.Fault.pr_gap_ns;
@@ -1331,18 +1285,15 @@ let start_drift_daemon t =
                   epoch_start := Engine.now t.k_engine;
                   Tele.event "simos.drift.apply" ~attrs:(fun () ->
                       [ ("kind", Tele.String (Drift.kind_to_string ev.Drift.dv_kind)) ]);
-                  match t.k_flight with
-                  | None -> ()
-                  | Some fl ->
-                    let kind, arg =
-                      match ev.Drift.dv_kind with
-                      | Drift.Cache_resize f -> (0, int_of_float (f *. 100.0))
-                      | Drift.Policy_swap _ -> (1, 0)
-                      | Drift.Timer_scale n -> (2, n)
-                      | Drift.Pressure_level f -> (3, int_of_float (f *. 100.0))
-                    in
-                    Flight.record fl ~ts:(Engine.now t.k_engine)
-                      ~code:Flight.Drift ~pid:(pid env) ~a:kind ~b:arg
+                  let kind, arg =
+                    match ev.Drift.dv_kind with
+                    | Drift.Cache_resize f -> (0, int_of_float (f *. 100.0))
+                    | Drift.Policy_swap _ -> (1, 0)
+                    | Drift.Timer_scale n -> (2, n)
+                    | Drift.Pressure_level f -> (3, int_of_float (f *. 100.0))
+                  in
+                  Flight.record t.k_flight ~ts:(Engine.now t.k_engine)
+                    ~code:Flight.Drift ~pid:(pid env) ~a:kind ~b:arg
                 end
               end)
             sc.Drift.dr_events;
@@ -1369,41 +1320,3 @@ let swapped_pages t ~pid =
       | Page.Anon _ | Page.File _ -> ())
     t.k_swapped;
   !n
-
-(* ---- counters ---- *)
-
-type counters = {
-  c_reads : int;
-  c_writes : int;
-  c_bytes_read : int;
-  c_bytes_written : int;
-  c_page_ins : int;
-  c_page_outs : int;
-  c_zero_fills : int;
-  c_file_fetches : int;
-  c_file_writebacks : int;
-}
-
-let counters t =
-  {
-    c_reads = t.k_ctr.m_reads;
-    c_writes = t.k_ctr.m_writes;
-    c_bytes_read = t.k_ctr.m_bytes_read;
-    c_bytes_written = t.k_ctr.m_bytes_written;
-    c_page_ins = t.k_ctr.m_page_ins;
-    c_page_outs = t.k_ctr.m_page_outs;
-    c_zero_fills = t.k_ctr.m_zero_fills;
-    c_file_fetches = t.k_ctr.m_file_fetches;
-    c_file_writebacks = t.k_ctr.m_file_writebacks;
-  }
-
-let reset_counters t =
-  t.k_ctr.m_reads <- 0;
-  t.k_ctr.m_writes <- 0;
-  t.k_ctr.m_bytes_read <- 0;
-  t.k_ctr.m_bytes_written <- 0;
-  t.k_ctr.m_page_ins <- 0;
-  t.k_ctr.m_page_outs <- 0;
-  t.k_ctr.m_zero_fills <- 0;
-  t.k_ctr.m_file_fetches <- 0;
-  t.k_ctr.m_file_writebacks <- 0

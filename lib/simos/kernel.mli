@@ -69,13 +69,11 @@ val boot :
     memory configuration never change mid-run and no drift-related work
     happens at all.
 
-    [account] turns the per-process accounting ledger on or off
-    (default: [GRAYBOX_ACCOUNT], on when unset) and [flight] likewise
-    the flight recorder (default: [GRAYBOX_FLIGHT], on when unset).
-    Unlike the planes above, both default to {e on}: neither draws RNG
-    nor advances the clock, so the simulation's observable behaviour is
-    identical either way — off exists to prove the zero-cost claim and
-    to pin the pre-accounting byte shape of explicit exports.
+    The per-process accounting ledger ({!account}) and the flight
+    recorder ({!flight}) are always on: the ledger is the kernel's only
+    count, so nothing can turn it off.  [account] and [flight] are
+    accepted for existing callers; [true] (the default) is the only
+    value, and [false] raises [Invalid_argument].
 
     [sched] installs a proportional-share run queue (default: none —
     the legacy whole-burst FCFS dispatch).  With it, {!compute} slices
@@ -96,10 +94,10 @@ val spawn : t -> ?name:string -> ?weight:int -> ?at:int -> (env -> unit) -> unit
 (** Create a process whose body runs as an engine fiber.  File descriptors
     and anonymous memory are reclaimed when the body returns (or raises).
     [weight] (default 1) is the process's proportional CPU share under a
-    scheduler kernel — ignored without [?sched].  When accounting is on,
-    a process's ledger rows are reaped into name-keyed aggregates at exit
-    (see {!Account.note_exit}), so fleet-scale runs don't leak a row per
-    dead pid. *)
+    scheduler kernel — ignored without [?sched].  A process's ledger row
+    appears when its fiber starts and is marked reapable at exit (see
+    {!Account.note_exit}), so fleet-scale runs don't leak a row per dead
+    pid. *)
 
 val run : t -> unit
 (** [Engine.run] shortcut. *)
@@ -110,15 +108,16 @@ val kernel_of_env : env -> t
 (** {1 Accounting and flight recorder} *)
 
 val account : t -> Account.t option
-(** The per-process accounting ledger, when on.  Within one boot epoch
-    (no {!restart}), per-pid cells sum exactly to the matching global
-    counters: hits + misses across pids equal the pool counters,
-    per-kind syscall counts equal the telemetry [.calls] counters, and
-    eviction blame row sums equal the ["simos.kernel.evictions"]
-    total. *)
+(** The per-process accounting ledger — always [Some].  It is the
+    kernel's only count: {!counters} and {!vmstat} are derived from it.
+    Within one boot epoch (no {!restart}), per-pid cells also sum
+    exactly to the counters kept below the kernel: hits + misses across
+    pids equal the pool counters, per-kind syscall counts equal the
+    telemetry [.calls] counters, and eviction blame row sums equal the
+    ["simos.kernel.evictions"] total. *)
 
-val flight : t -> Gray_util.Flight.t option
-(** The always-on flight recorder.  Syscall entries, evictions, fault
+val flight : t -> Gray_util.Flight.t
+(** The flight recorder.  Syscall entries, evictions, fault
     injections, drift mutations — all in simulated time.  Survives
     {!restart} (it is the black box; the pre-crash tail is the point),
     though the fresh engine restarts its timestamps from 0. *)
@@ -223,10 +222,11 @@ type vmstat = { vm_page_ins : int; vm_page_outs : int }
 
 val vmstat : env -> vmstat
 (** System-wide paging activity counters, as the real [vmstat] would
-    report them.  This is a legitimate narrow interface some systems
-    offer; the paper's MAC deliberately avoids it ("we observe only time
-    in order to explore those environments with very limited
-    interfaces"), but the ablation benches compare both. *)
+    report them — the page-in and page-out fields of {!counters}.  This
+    is a legitimate narrow interface some systems offer; the paper's MAC
+    deliberately avoids it ("we observe only time in order to explore
+    those environments with very limited interfaces"), but the ablation
+    benches compare both. *)
 
 (** {1 CPU} *)
 
@@ -286,10 +286,11 @@ val restart : t -> unit
     recovery processes and {!run} again.  Counters and RNG streams
     survive — they describe the experiment, not the machine.  The
     per-process accounting ledger does {e not} (the rebooted machine has
-    no processes), nor does the run queue ({!Sched.reset} — registrations
-    and grants are machine state), and a drift plane's timer/pressure
-    regime lapses (its daemon died with the crash); the flight recorder
-    keeps its pre-crash tail. *)
+    no processes; its totals are carried into {!counters} first), nor
+    does the run queue ({!Sched.reset} — registrations and grants are
+    machine state), and a drift plane's timer/pressure regime lapses
+    (its daemon died with the crash); the flight recorder keeps its
+    pre-crash tail. *)
 
 val install_volume_image : t -> int -> Fs.t -> unit
 (** Adopt [fs] as volume [i]'s file system.  A freshly booted kernel
@@ -324,7 +325,15 @@ type counters = {
 }
 
 val counters : t -> counters
+(** Machine-wide totals since boot (or the last {!reset_counters}),
+    {!restart}s included: the ledger's {!Account.total}, live rows and
+    reaped aggregates alike, plus a carry holding what [restart] took
+    out of the ledger.  [c_reads] counts completed non-empty reads and
+    [c_writes] completed writes, where the ledger's per-kind syscall
+    counts count entries.  Costs O(live rows + reaped names). *)
+
 val reset_counters : t -> unit
+(** Zero {!counters}; the ledger's rows are untouched. *)
 
 (** {1 White-box access (for {!Introspect} and tests only)} *)
 

@@ -1,8 +1,8 @@
 (** Strict, uniform parsing of the [GRAYBOX_*] environment variables.
 
-    Every plane (faults, crash, drift, telemetry, accounting, flight
-    recorder, OS backend) validates its variable through {!parse}, so a
-    bad token always produces the same shape of diagnostic —
+    Every plane that reads one (faults, crash, drift, telemetry, OS
+    backend) and the bench trial count validate their variable through
+    {!parse}, so a bad token always produces the same shape of diagnostic —
     ["GRAYBOX_X=token: expected <grammar>"] — naming both the variable
     and the offending token.  Only the failure {e channel} differs per
     variable (the planes raised [Invalid_argument] or exited with the

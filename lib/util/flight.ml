@@ -159,29 +159,3 @@ let dump ?last t =
       t.total t.cap (List.length ls)
   in
   String.concat "\n" (header :: ls) ^ "\n"
-
-(* ---- env control ------------------------------------------------------ *)
-
-(* Validated once per process: [of_env] runs on every [Kernel.boot], and
-   the crash explorer boots hundreds of kernels — a sub-1 warning must
-   print once, not once per boot. *)
-let env_capacity =
-  lazy
-    (Env.parse ~var:"GRAYBOX_FLIGHT"
-       ~expected:"off, on, or a capacity (an integer >= 1)"
-       ~on_invalid:`Exit
-       ~default:(Some default_capacity)
-       (fun token ->
-         match token with
-         | "off" | "none" -> Env.Value None
-         | "on" -> Value (Some default_capacity)
-         | s -> (
-           match int_of_string_opt s with
-           | Some n when n >= 1 -> Value (Some n)
-           | Some _ -> Soft ("capacity below 1; flight recorder stays off", None)
-           | None -> Invalid)))
-
-let of_env () =
-  match Lazy.force env_capacity with
-  | None -> None
-  | Some cap -> Some (create ~capacity:cap ())

@@ -82,11 +82,3 @@ val lines : ?last:int -> t -> string list
 
 val dump : ?last:int -> t -> string
 (** [lines] under a one-line header, newline-terminated. *)
-
-val of_env : unit -> t option
-(** Resolve [GRAYBOX_FLIGHT] (validated once per process,
-    GRAYBOX_TRIALS-style): unset, empty or [on] builds a
-    default-capacity recorder — the recorder is {e always on} by
-    default; [off]/[none] disables it; an integer [n >= 1] sets the
-    capacity; [n < 1] warns and disables; anything unparsable is a hard
-    configuration error (exit 2). *)

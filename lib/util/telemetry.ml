@@ -221,10 +221,9 @@ let json_of_attrs attrs =
   Json.Obj (List.map (fun (k, v) -> (k, json_of_value v)) attrs)
 
 (* Per-simulated-process track mapping: entries tagged with a non-zero
-   [spid] (a simulated pid, recorded when accounting is on) render on
-   their own named thread track, tid-packed as [tid * spid_stride +
-   spid].  Untagged entries keep the plain [tid], so a trace recorded
-   with accounting off is byte-identical to the pre-accounting shape. *)
+   [spid] (a simulated pid; the kernel tags every entry it records)
+   render on their own named thread track, tid-packed as [tid *
+   spid_stride + spid].  Untagged entries keep the plain [tid]. *)
 let spid_stride = 1024
 
 let chrome_events s ~pid ~tid =

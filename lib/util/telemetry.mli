@@ -121,9 +121,8 @@ val observe_hist : string -> lo:float -> hi:float -> bins:int -> float -> unit
 
     [spid] tags the entry with the {e simulated} pid on whose behalf the
     work happened (0 = untagged, the default): the Chrome exporter maps
-    each tagged pid to its own named thread track.  The kernel only
-    passes it when per-process accounting is on, so accounting-off
-    traces keep the untagged (pre-accounting) byte shape. *)
+    each tagged pid to its own named thread track.  The kernel tags
+    every span and point it records. *)
 
 val span_end :
   sink -> ?attrs:(unit -> attr list) -> ?spid:int -> string -> ts:int -> unit
@@ -156,8 +155,7 @@ val chrome_events : sink -> pid:int -> tid:int -> Json.t list
     process/thread [M]etadata events naming [pid]/[tid] after the sink.
     Entries tagged with a simulated pid ([spid]) render on a dedicated
     thread track [tid * 1024 + spid], named ["<sink>/pid<spid>"] by an
-    extra metadata event; untagged entries (and hence whole traces
-    recorded with accounting off) keep the plain [tid]. *)
+    extra metadata event; untagged entries keep the plain [tid]. *)
 
 val chrome_trace : Json.t list -> Json.t
 (** Wrap merged event lists as [{"traceEvents": [...]}]. *)

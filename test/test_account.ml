@@ -38,35 +38,97 @@ let the_account k = Option.get (Kernel.account k)
 
 (* ---- restart (the machine-state audit) -------------------------------- *)
 
+let counter_fields (c : Kernel.counters) =
+  Kernel.
+    [
+      c.c_reads; c.c_writes; c.c_bytes_read; c.c_bytes_written; c.c_page_ins;
+      c.c_page_outs; c.c_zero_fills; c.c_file_fetches; c.c_file_writebacks;
+    ]
+
+(* The ledger is machine state and the counters are experiment state, yet
+   the counters are derived from the ledger: restart must carry them over,
+   and reset_counters must zero them without touching the rows. *)
 let test_restart_zeroes_ledger () =
   let k = boot ~seed:7 () in
   Kernel.spawn k ~name:"w" (fun env ->
       setup env;
-      let r = Kernel.valloc env ~pages:32 in
-      ignore (Kernel.touch_pages env r ~first:0 ~count:32);
+      let fd = must (Kernel.open_file env (path 0)) in
+      ignore (must (Kernel.read env fd ~off:0 ~len:(2 * page)));
+      Kernel.close env fd;
+      (* past the 8 MiB of usable memory twice: page-outs, then page-ins *)
+      let r = Kernel.valloc env ~pages:3072 in
+      ignore (Kernel.touch_pages env r ~first:0 ~count:3072);
+      ignore (Kernel.touch_pages env r ~first:0 ~count:3072);
       Kernel.vfree env r);
   Kernel.run k;
   let a = the_account k in
   Alcotest.(check bool) "ledger populated" true (Account.rows a <> []);
-  let flight_before = Gray_util.Flight.recorded (Option.get (Kernel.flight k)) in
+  let before = Kernel.counters k in
+  Alcotest.(check bool) "paging happened" true
+    (before.Kernel.c_page_ins > 0 && before.Kernel.c_page_outs > 0);
+  let flight_before = Gray_util.Flight.recorded (Kernel.flight k) in
   Alcotest.(check bool) "flight recorded" true (flight_before > 0);
   Kernel.restart k;
   Alcotest.(check int) "no rows after restart" 0
     (List.length (Account.rows (the_account k)));
   Alcotest.(check (list (triple int int int))) "no blame after restart" []
     (Account.blame_triples (the_account k));
+  Alcotest.(check (list int)) "counters survive restart" (counter_fields before)
+    (counter_fields (Kernel.counters k));
   (* the flight recorder is the black box: its pre-crash tail survives *)
   Alcotest.(check int) "flight survives restart" flight_before
-    (Gray_util.Flight.recorded (Option.get (Kernel.flight k)));
-  (* and a post-restart process starts from a zeroed row *)
+    (Gray_util.Flight.recorded (Kernel.flight k));
+  (* a post-restart process starts from a zeroed row, and the counters
+     grow by exactly its work *)
+  let vm = ref None in
   Kernel.spawn k ~name:"after" (fun env ->
-      ignore (must (Kernel.create_file env "/d0/after")));
+      let fd = must (Kernel.create_file env "/d0/after") in
+      ignore (must (Kernel.write env fd ~off:0 ~len:(2 * page)));
+      ignore (must (Kernel.read env fd ~off:0 ~len:page));
+      let r = Kernel.valloc env ~pages:8 in
+      ignore (Kernel.touch_pages env r ~first:0 ~count:8);
+      vm := Some (Kernel.vmstat env));
   Kernel.run k;
-  match Account.rows (the_account k) with
-  | [ st ] ->
-    Alcotest.(check string) "fresh row" "after" st.Account.st_name;
-    Alcotest.(check int) "fresh count" 1 st.Account.syscalls
-  | rows -> Alcotest.failf "expected one row, got %d" (List.length rows)
+  let st =
+    match Account.rows (the_account k) with
+    | [ st ] -> st
+    | rows -> Alcotest.failf "expected one row, got %d" (List.length rows)
+  in
+  Alcotest.(check string) "fresh row" "after" st.Account.st_name;
+  Alcotest.(check int) "fresh count" 6 st.Account.syscalls;
+  let after = Kernel.counters k in
+  Alcotest.(check (list int)) "counters grow by one process's work"
+    (counter_fields
+       Kernel.
+         {
+           before with
+           c_reads = before.c_reads + 1;
+           c_writes = before.c_writes + 1;
+           c_bytes_read = before.c_bytes_read + page;
+           c_bytes_written = before.c_bytes_written + (2 * page);
+           c_zero_fills = before.c_zero_fills + 8;
+         })
+    (counter_fields after);
+  (match !vm with
+  | Some v ->
+    Alcotest.(check (pair int int)) "vmstat = counters' paging"
+      (after.Kernel.c_page_ins, after.Kernel.c_page_outs)
+      (v.Kernel.vm_page_ins, v.Kernel.vm_page_outs)
+  | None -> Alcotest.fail "vmstat never returned");
+  Kernel.reset_counters k;
+  let zeroes = List.init 9 (fun _ -> 0) in
+  Alcotest.(check (list int)) "reset_counters zeroes all nine" zeroes
+    (counter_fields (Kernel.counters k));
+  (match Account.rows (the_account k) with
+  | [ st' ] ->
+    Alcotest.(check bool) "reset leaves the row alone" true (st' == st);
+    Alcotest.(check (pair int int)) "row cells intact" (6, 2 * page)
+      (st'.Account.syscalls, st'.Account.bytes_written)
+  | rows -> Alcotest.failf "expected one row after reset, got %d" (List.length rows));
+  (* reaping moves the exited row into the aggregates the totals include *)
+  Account.reap (the_account k);
+  Alcotest.(check (list int)) "counters survive a reap" zeroes
+    (counter_fields (Kernel.counters k))
 
 (* ---- initiator semantics for sync-driven writebacks ------------------- *)
 
