@@ -172,7 +172,73 @@ let rec run_hot_paths () =
       ledger
       (if bare > 0.0 then (ledger -. bare) /. bare *. 100.0 else 0.0)
   | _ -> Printf.printf "  acct  (no estimate)\n");
+  run_hot_paths_policies ();
   run_hot_paths_fs ()
+
+(* One row per replacement policy at a DRAM-sized pool: linux-2.2's usable
+   memory, the unified cache the grep and layout figures run on, so the
+   resident set is far larger than the CPU cache and each page pays the
+   memory latency of its frame and index slot.  A hit pass cycles once
+   through the resident pages; a miss pass streams one pool's worth of
+   fresh pages into the full pool, so each page evicts one, after one
+   such pass of warm-up so that clock's first sweep over the hit-warmed
+   pages is not charged to it.  Clock's sweep is lumpy (a long sweep
+   every pool turnover), so the rows time whole passes with the wall
+   clock rather than fitting short bechamel runs.  Words are minor words
+   allocated per page; the run's key closure builds one 3-word key per
+   page. *)
+and run_hot_paths_policies () =
+  let usable = Platform.usable_pages Platform.linux_2_2 in
+  let noop2 _ _ = () and no_evict _ ~dirty:_ = () and no_end _ ~evicted:_ = () in
+  let access m ~ino ~first ~n =
+    Memory.access_run m ~n
+      ~key:(fun i -> Page.File { ino; idx = first + i })
+      ~dirty:false ~on_hit:noop2 ~on_miss:noop2 ~on_evict:no_evict ~on_page_end:no_end
+  in
+  let runs = usable / run_len in
+  (* ns and minor words per page over [runs] calls of [step] *)
+  let pass step =
+    let w0 = Gc.minor_words () in
+    let t0 = Monotonic_clock.now () in
+    for _ = 1 to runs do
+      step ()
+    done;
+    let ns = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) in
+    let pages = float_of_int (runs * run_len) in
+    (ns /. pages, (Gc.minor_words () -. w0) /. pages)
+  in
+  Printf.printf
+    "# per-policy Memory.access_run, %d-page runs, unified pool of %d pages \
+     (linux-2.2)\n"
+    run_len usable;
+  Printf.printf "  %-14s %12s %13s %13s %14s\n" "policy" "hit ns/page" "hit words/pg"
+    "miss ns/page" "miss words/pg";
+  List.iter
+    (fun name ->
+      let m =
+        Memory.create ~usable_pages:usable (Memory.Unified (Replacement.of_name name))
+      in
+      let first = ref 0 in
+      while !first < usable do
+        access m ~ino:1 ~first:!first ~n:(min run_len (usable - !first));
+        first := !first + run_len
+      done;
+      let base = ref 0 in
+      let hit () =
+        access m ~ino:1 ~first:!base ~n:run_len;
+        base := (!base + run_len) mod (usable - run_len)
+      in
+      let next = ref 0 in
+      let miss () =
+        access m ~ino:2 ~first:!next ~n:run_len;
+        next := !next + run_len
+      in
+      let hit_ns, hit_words = pass hit in
+      ignore (pass miss);
+      let miss_ns, miss_words = pass miss in
+      Printf.printf "  %-14s %12.1f %13.2f %13.1f %14.2f\n%!" name hit_ns hit_words miss_ns
+        miss_words)
+    Replacement.all_names
 
 (* The PR-7 surfaces on the same trendline: the incremental fsck against
    the full-scan oracle it replaces on the explorer's per-boundary path,
@@ -471,7 +537,9 @@ let hot_paths_arg =
         ~doc:
           "Instead of the toolbox microbenchmarks, run a bechamel comparison of \
            the page pool's batched run API against the per-page path (hits and \
-           misses separately).  Numbers measure this machine.")
+           misses separately), then one hit and one miss row per replacement \
+           policy at linux-2.2's usable memory (ns and minor words per page).  \
+           Numbers measure this machine.")
 
 let platform_arg =
   Arg.(

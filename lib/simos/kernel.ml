@@ -60,7 +60,7 @@ type t = {
   k_mem : Memory.t;
   k_cpu : Resource.t;
   k_noise : Gray_util.Rng.t;
-  k_swapped : unit Page.Tbl.t;
+  k_swapped : Page.Tbl.t;  (* anonymous pages out on swap (values unused) *)
   k_procs : (int, proc) Hashtbl.t;
   k_sched : Sched.t option;
   mutable k_next_pid : int;
@@ -490,7 +490,7 @@ let writeback_victim env ~now key ~dirty =
     let d = Disk.access t.k_swap ~now ~start_block:slot ~nblocks:1 in
     st.Account.page_outs <- st.Account.page_outs + 1;
     st.Account.block_ns <- st.Account.block_ns + d;
-    Page.Tbl.replace t.k_swapped key ();
+    Page.Tbl.replace t.k_swapped key 0;
     now + d
 
 (* One page's worth of eviction telemetry (a metric bump and a point, as
@@ -1314,7 +1314,7 @@ let live_procs t = Hashtbl.length t.k_procs
 let swapped_pages t ~pid =
   let n = ref 0 in
   Page.Tbl.iter
-    (fun key () ->
+    (fun key _ ->
       match key with
       | Page.Anon { pid = p; _ } when p = pid -> incr n
       | Page.Anon _ | Page.File _ -> ())

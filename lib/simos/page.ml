@@ -8,18 +8,25 @@ let equal (a : key) (b : key) =
   | Anon a, Anon b -> a.pid = b.pid && a.vpn = b.vpn
   | File _, Anon _ | Anon _, File _ -> false
 
+let kind_file = 0
+let kind_anon = 1
+
 (* Page lookups dominate the simulator's hot path, so the hash must not
    allocate (the generic [Hashtbl.hash] boxes a scratch tuple per call).
    Fibonacci-style integer mixing keeps neighbouring (ino, idx) pairs well
-   spread; the kind constant separates file from anonymous keys. *)
-let mix a b kind =
-  let h = (a * 0x9E3779B1) lxor (b * 0x85EBCA77) lxor kind in
+   spread.  Bit 61 carries the kind, so one word comparison tells file
+   keys from anonymous ones; the hash stays non-negative, leaving
+   negative words free for the index's empty-slot marker. *)
+let kind_bit = 61
+
+let hash_words kind a b =
+  let h = (a * 0x9E3779B1) lxor (b * 0x85EBCA77) lxor (kind * 0x5bd1e995) in
   let h = h lxor (h lsr 23) in
-  (h * 0xC2B2AE3D) land max_int
+  ((h * 0xC2B2AE3D) land (max_int lsr 1)) lor (kind lsl kind_bit)
 
 let hash = function
-  | File { ino; idx } -> mix ino idx 0
-  | Anon { pid; vpn } -> mix pid vpn 0x5bd1e995
+  | File { ino; idx } -> hash_words kind_file ino idx
+  | Anon { pid; vpn } -> hash_words kind_anon pid vpn
 
 let pp ppf = function
   | File { ino; idx } -> Format.fprintf ppf "file(ino=%d,page=%d)" ino idx
@@ -29,145 +36,163 @@ let to_string k = Format.asprintf "%a" pp k
 let is_file = function File _ -> true | Anon _ -> false
 let is_anon = function Anon _ -> true | File _ -> false
 
-(* Open-addressing hash table specialised to page keys.
+(* Open-addressing index from page keys to ints.
 
    A resident set of a few hundred thousand pages does not fit in cache,
-   so every page access pays DRAM latency per dependent pointer chase; the
-   bucket-chained stdlib [Hashtbl] costs one chase for the bucket, one per
-   cons cell, and one per key compare.  Here a probe touches a flat [int]
-   array of stored hashes — linear probing stays within a cache line for
-   the common cluster — and dereferences the boxed key only when the
-   stored hash already matches, so a lookup is one or two cache misses
-   total.  Deletions leave tombstones; a rehash (on growth, or when
-   tombstones outnumber live entries) drops them.
+   so every page access pays DRAM latency per dependent load.  Here a slot
+   is four consecutive words of one flat [int array] — stored hash, the
+   key's two fields, the value — so a probe reads the hash and compares
+   the key in the same cache line, and nothing is boxed: no key blocks,
+   no value blocks, nothing for the GC to trace.  Linear probing from
+   the home slot [hash land (capacity - 1)]; deletion shifts the rest of
+   the probe run back over the hole (no tombstones, so no compaction
+   rehash).  Every loop is a top-level function taking its state as
+   arguments: without flambda, a local recursive function that captures
+   its environment is a closure allocated per call.
 
-   Only the operations the simulator uses are provided.  Iteration order
-   is arbitrary, as with [Hashtbl]; no caller depends on it. *)
+   Iteration order is the slot order, which depends on the insertion and
+   deletion history; no caller depends on it. *)
 module Tbl = struct
-  type 'a t = {
-    mutable hs : int array;  (* stored hash, or empty / tombstone *)
-    mutable ks : key array;
-    mutable vs : Obj.t array;
-    mutable live : int;      (* entries holding a binding *)
-    mutable fill : int;      (* live + tombstones *)
+  type t = {
+    mutable slots : int array;  (* [hash; a; b; value] per slot *)
+    mutable live : int;
   }
 
-  let empty_h = -1
-  let tomb_h = -2
-  let dummy_key = File { ino = min_int; idx = min_int }
-  let dummy_val = Obj.repr ()
+  let empty = -1
+  let stride = 4
 
   let norm_capacity n =
     let rec up c = if c >= n then c else up (c * 2) in
     up 16
 
-  let create n =
-    let cap = norm_capacity (max 16 (n * 2)) in
-    {
-      hs = Array.make cap empty_h;
-      ks = Array.make cap dummy_key;
-      vs = Array.make cap dummy_val;
-      live = 0;
-      fill = 0;
-    }
+  let make_slots cap = Array.make (cap * stride) empty
 
+  let create n = { slots = make_slots (norm_capacity (max 16 (n * 2))); live = 0 }
   let length t = t.live
+  let capacity t = Array.length t.slots / stride
 
-  (* Slot of [key] (stored hash [h]) if present, or the negated insertion
-     point minus 1: the first tombstone on the probe path if any, else the
-     empty slot that terminated it. *)
-  let probe t key h =
-    let mask = Array.length t.hs - 1 in
-    let rec go i first_tomb =
-      let sh = Array.unsafe_get t.hs i in
-      if sh = empty_h then
-        -(if first_tomb >= 0 then first_tomb else i) - 1
-      else if sh = h && equal (Array.unsafe_get t.ks i) key then i
-      else
-        go
-          ((i + 1) land mask)
-          (if first_tomb < 0 && sh = tomb_h then i else first_tomb)
-    in
-    go (h land mask) (-1)
+  (* Slot of the key [h]/[a]/[b], or [-1] when absent. *)
+  let rec find_slot s mask h a b i =
+    let o = i * stride in
+    let sh = Array.unsafe_get s o in
+    if sh = h && Array.unsafe_get s (o + 1) = a && Array.unsafe_get s (o + 2) = b then i
+    else if sh = empty then -1
+    else find_slot s mask h a b ((i + 1) land mask)
 
-  let rec rehash t cap =
-    let ohs = t.hs and oks = t.ks and ovs = t.vs in
-    t.hs <- Array.make cap empty_h;
-    t.ks <- Array.make cap dummy_key;
-    t.vs <- Array.make cap dummy_val;
-    t.live <- 0;
-    t.fill <- 0;
-    Array.iteri
-      (fun i h -> if h >= 0 then insert_fresh t h oks.(i) ovs.(i))
-      ohs
+  let rec free_slot s mask i =
+    if Array.unsafe_get s (i * stride) = empty then i
+    else free_slot s mask ((i + 1) land mask)
 
-  (* Insert a binding known to be absent. *)
-  and insert_fresh t h key v =
-    let cap = Array.length t.hs in
-    if 3 * t.fill >= 2 * cap then begin
-      (* grow only when live entries need the room; otherwise the rehash
-         just clears tombstones at the same size *)
-      rehash t (if 3 * t.live >= cap then cap * 2 else cap);
-      insert_fresh t h key v
-    end
-    else begin
-      let i = probe t key h in
-      let i = if i < 0 then -i - 1 else i in
-      if t.hs.(i) = empty_h then t.fill <- t.fill + 1;
-      t.hs.(i) <- h;
-      t.ks.(i) <- key;
-      t.vs.(i) <- v;
-      t.live <- t.live + 1
+  let lookup t kind a b =
+    let s = t.slots in
+    let mask = (Array.length s / stride) - 1 in
+    let h = hash_words kind a b in
+    find_slot s mask h a b (h land mask)
+
+  let store s i h a b v =
+    let o = i * stride in
+    Array.unsafe_set s o h;
+    Array.unsafe_set s (o + 1) a;
+    Array.unsafe_set s (o + 2) b;
+    Array.unsafe_set s (o + 3) v
+
+  let rec rehash_from t os i n =
+    if i < n then begin
+      let o = i * stride in
+      let h = Array.unsafe_get os o in
+      if h <> empty then begin
+        let s = t.slots in
+        let mask = (Array.length s / stride) - 1 in
+        store s (free_slot s mask (h land mask)) h
+          (Array.unsafe_get os (o + 1))
+          (Array.unsafe_get os (o + 2))
+          (Array.unsafe_get os (o + 3))
+      end;
+      rehash_from t os (i + 1) n
     end
 
-  let find (t : 'a t) key : 'a =
-    let i = probe t key (hash key) in
-    if i < 0 then raise Not_found else Obj.obj (Array.unsafe_get t.vs i)
+  (* Insert a binding known to be absent, growing at two-thirds load. *)
+  let insert t kind a b v =
+    if 3 * t.live >= 2 * capacity t then begin
+      let os = t.slots in
+      t.slots <- make_slots (2 * capacity t);
+      rehash_from t os 0 (Array.length os / stride)
+    end;
+    let s = t.slots in
+    let mask = (Array.length s / stride) - 1 in
+    let h = hash_words kind a b in
+    store s (free_slot s mask (h land mask)) h a b v;
+    t.live <- t.live + 1
 
-  let mem t key = probe t key (hash key) >= 0
+  (* Backward-shift deletion: walk the probe run after [hole]; an entry
+     whose home slot does not lie cyclically in (hole, j] may move into
+     the hole, which then moves to [j].  The run's first empty slot ends
+     the walk and the final hole becomes empty. *)
+  let rec shift s mask hole j =
+    let o = j * stride in
+    let h = Array.unsafe_get s o in
+    if h = empty then Array.unsafe_set s (hole * stride) empty
+    else if (j - (h land mask)) land mask >= (j - hole) land mask then begin
+      store s hole h
+        (Array.unsafe_get s (o + 1))
+        (Array.unsafe_get s (o + 2))
+        (Array.unsafe_get s (o + 3));
+      shift s mask j ((j + 1) land mask)
+    end
+    else shift s mask hole ((j + 1) land mask)
 
-  let replace (t : 'a t) key (v : 'a) =
-    let h = hash key in
-    let i = probe t key h in
-    if i >= 0 then t.vs.(i) <- Obj.repr v else insert_fresh t h key (Obj.repr v)
+  let remove_words t ~kind a b =
+    let i = lookup t kind a b in
+    if i >= 0 then begin
+      let s = t.slots in
+      let mask = (Array.length s / stride) - 1 in
+      shift s mask i ((i + 1) land mask);
+      t.live <- t.live - 1
+    end
 
-  (* Insert a binding the caller knows is absent (e.g. right after a miss):
-     one probe, where [replace] would probe twice. *)
-  let add (t : 'a t) key (v : 'a) = insert_fresh t (hash key) key (Obj.repr v)
+  let slot_of t = function
+    | File { ino; idx } -> lookup t kind_file ino idx
+    | Anon { pid; vpn } -> lookup t kind_anon pid vpn
+
+  let value t i = Array.unsafe_get t.slots ((i * stride) + 3)
+
+  let find_or t key ~default =
+    let i = slot_of t key in
+    if i < 0 then default else value t i
+
+  let find t key =
+    let i = slot_of t key in
+    if i < 0 then raise Not_found else value t i
+
+  let mem t key = slot_of t key >= 0
+
+  let add t key v =
+    match key with
+    | File { ino; idx } -> insert t kind_file ino idx v
+    | Anon { pid; vpn } -> insert t kind_anon pid vpn v
+
+  let replace t key v =
+    let i = slot_of t key in
+    if i >= 0 then Array.unsafe_set t.slots ((i * stride) + 3) v else add t key v
 
   let remove t key =
-    let i = probe t key (hash key) in
-    if i >= 0 then begin
-      t.hs.(i) <- tomb_h;
-      t.ks.(i) <- dummy_key;
-      t.vs.(i) <- dummy_val;
-      t.live <- t.live - 1;
-      (* Tombstones degrade probes only as the table fills up, and every
-         same-size rehash costs O(capacity): compact when the tombstones
-         alone occupy a third of the slots, so a bulk removal (a region
-         free, a machine restart) triggers at most one compaction instead
-         of one per two-thirds shrink of the live count. *)
-      let cap = Array.length t.hs in
-      if 3 * (t.fill - t.live) >= cap && cap > 16 then rehash t cap
-    end
+    match key with
+    | File { ino; idx } -> remove_words t ~kind:kind_file ino idx
+    | Anon { pid; vpn } -> remove_words t ~kind:kind_anon pid vpn
 
-  let iter f (t : 'a t) =
-    Array.iteri (fun i h -> if h >= 0 then f t.ks.(i) (Obj.obj t.vs.(i))) t.hs
-
-  let copy t =
-    {
-      hs = Array.copy t.hs;
-      ks = Array.copy t.ks;
-      vs = Array.copy t.vs;
-      live = t.live;
-      fill = t.fill;
-    }
+  let iter f t =
+    let s = t.slots in
+    for i = 0 to capacity t - 1 do
+      let o = i * stride in
+      let h = s.(o) in
+      if h <> empty then
+        f
+          (if h lsr kind_bit = kind_file then File { ino = s.(o + 1); idx = s.(o + 2) }
+           else Anon { pid = s.(o + 1); vpn = s.(o + 2) })
+          s.(o + 3)
+    done
 
   let reset t =
-    let cap = 16 in
-    t.hs <- Array.make cap empty_h;
-    t.ks <- Array.make cap dummy_key;
-    t.vs <- Array.make cap dummy_val;
-    t.live <- 0;
-    t.fill <- 0
+    t.slots <- make_slots 16;
+    t.live <- 0
 end

@@ -66,17 +66,15 @@ let try_hit t key ~dirty =
     false
   end
 
+(* A full pool (capacity >= 1) always has a victim, so each eviction is
+   counted before [evict] runs: the count is already up when [on_evict]
+   sees the victim, with no counting closure to allocate. *)
 let fill t key ~dirty ~on_evict =
   let (module P : Replacement.POLICY) = t.policy in
-  if P.size () >= t.capacity then begin
-    let counted k ~dirty =
-      t.evictions <- t.evictions + 1;
-      on_evict k ~dirty
-    in
-    while P.size () >= t.capacity do
-      if not (P.evict counted) then failwith "Pool.access: policy lost pages"
-    done
-  end;
+  while P.size () >= t.capacity do
+    t.evictions <- t.evictions + 1;
+    if not (P.evict on_evict) then failwith "Pool.access: policy lost pages"
+  done;
   P.insert key ~dirty
 
 let access_run t ~n ~key ~dirty ~on_hit ~on_miss ~on_evict ~on_page_end =
@@ -123,15 +121,10 @@ let resize_into t ~capacity_pages ~on_evict =
   if capacity_pages <= 0 then invalid_arg "Pool.resize: capacity must be positive";
   t.capacity <- capacity_pages;
   let (module P : Replacement.POLICY) = t.policy in
-  if P.size () > t.capacity then begin
-    let counted k ~dirty =
-      t.evictions <- t.evictions + 1;
-      on_evict k ~dirty
-    in
-    while P.size () > t.capacity do
-      if not (P.evict counted) then failwith "Pool.resize: policy lost pages"
-    done
-  end
+  while P.size () > t.capacity do
+    t.evictions <- t.evictions + 1;
+    if not (P.evict on_evict) then failwith "Pool.resize: policy lost pages"
+  done
 
 let resize t ~capacity_pages =
   let out = ref [] in

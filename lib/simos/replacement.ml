@@ -16,150 +16,233 @@ type factory = capacity:int -> t
 
 let name (module P : POLICY) = P.name
 
-(* Intrusive circular doubly-linked list with a sentinel, shared by all the
-   list-based policies.  Every pointer is a plain [node] (the sentinel
-   closes the ring), so linking and unlinking never allocate — this list
-   sits under every page access of the simulator.  [weight] holds the
-   clock's aged reference count; [tag] the owning segment of the
-   two-queue policies; [dirty] the page's dirty bit (owned here rather
-   than in a side table so a hit costs exactly one hash lookup). *)
-module Dll = struct
-  type node = {
-    key : Page.key;
-    mutable prev : node;
-    mutable next : node;
-    mutable weight : int;
-    mutable dirty : bool;
-    mutable tag : int;
+(* The frame table under every policy: resident pages live as fixed-size
+   frames in one [int array], linked into one or two circular
+   doubly-linked lists, and a {!Page.Tbl} index maps each key to its
+   frame.  Frames 0 and 1 are the sentinels of lists 0 and 1 (head = MRU
+   end, tail = LRU end; single-list policies leave list 1 empty); a
+   frame's flags word records which list holds it, so the two-queue
+   policies need no separate tag.  Freed frames go on a free list
+   threaded through [f_next] and are reused before the arena grows; the
+   arena doubles on demand and is never sized to the pool up front, since
+   a fresh kernel (one per crash boundary) would pay for it at boot.
+
+   Nothing here is boxed, so the hit path allocates nothing and the GC
+   has no per-page blocks to trace or promote.  The one allocation per
+   eviction is the victim key handed to the callback.  Every loop is a
+   top-level function over explicit arguments: without flambda, a local
+   recursive function capturing its environment is a closure allocated
+   per call. *)
+module Frames = struct
+  (* word offsets within a frame *)
+  let f_a = 0  (* ino or pid *)
+  let f_b = 1  (* idx or vpn *)
+  let f_flags = 2  (* bit 0: kind (0 file, 1 anon); bit 1: dirty; bits 2..: list *)
+  let f_weight = 3  (* clock's aged reference count *)
+  let f_prev = 4
+  let f_next = 5
+  let stride = 6
+  let anon_bit = 1  (* = the anon kind of {!Page.Tbl.remove_words} *)
+  let dirty_bit = 2
+  let list_shift = 2
+
+  type t = {
+    mutable fr : int array;
+    mutable fresh : int;  (* frames below this have been handed out *)
+    mutable free : int;  (* free-list head, or -1 *)
+    counts : int array;  (* frames on lists 0 and 1 *)
+    index : Page.Tbl.t;  (* key -> frame *)
   }
 
-  type list_t = { sentinel : node; mutable count : int }
+  (* The index starts right-sized for small pools, so a fresh kernel
+     skips the grow-rehash ladder, with a cap that keeps a huge pool's
+     boot allocation bounded; [capacity / 8] reflects that most pools run
+     far below capacity in the simulated workloads. *)
+  let create ~capacity =
+    let fr = Array.make (16 * stride) 0 in
+    for l = 0 to 1 do
+      fr.((l * stride) + f_prev) <- l;
+      fr.((l * stride) + f_next) <- l
+    done;
+    {
+      fr;
+      fresh = 2;
+      free = -1;
+      counts = Array.make 2 0;
+      index = Page.Tbl.create (min (max 16 (capacity / 8)) 1024);
+    }
 
-  let dummy_key = Page.File { ino = min_int; idx = min_int }
+  let find fm key = Page.Tbl.find_or fm.index key ~default:(-1)
+  let mem fm key = Page.Tbl.mem fm.index key
+  let get fm id off = fm.fr.((id * stride) + off)
+  let set fm id off v = fm.fr.((id * stride) + off) <- v
+  let list_of fm id = get fm id f_flags lsr list_shift
+  let dirty fm id = get fm id f_flags land dirty_bit <> 0
+  let set_dirty fm id = set fm id f_flags (get fm id f_flags lor dirty_bit)
+  let head fm l = get fm l f_next
+  let tail fm l = get fm l f_prev
+  let count fm l = fm.counts.(l)
+  let size fm = fm.counts.(0) + fm.counts.(1)
 
-  let create () =
-    let rec s =
-      { key = dummy_key; prev = s; next = s; weight = 0; dirty = false; tag = 0 }
-    in
-    { sentinel = s; count = 0 }
+  let link_front fm l id =
+    let first = head fm l in
+    set fm id f_prev l;
+    set fm id f_next first;
+    set fm first f_prev id;
+    set fm l f_next id;
+    fm.counts.(l) <- fm.counts.(l) + 1
 
-  let is_empty t = t.count = 0
+  let unlink fm l id =
+    let p = get fm id f_prev and n = get fm id f_next in
+    set fm p f_next n;
+    set fm n f_prev p;
+    fm.counts.(l) <- fm.counts.(l) - 1
 
-  (* head = MRU end, tail = LRU end *)
-  let head t = t.sentinel.next
-  let tail t = t.sentinel.prev
-
-  let attach_front t node =
-    let s = t.sentinel in
-    node.prev <- s;
-    node.next <- s.next;
-    s.next.prev <- node;
-    s.next <- node;
-    t.count <- t.count + 1
-
-  let push_front t key ~dirty =
-    let s = t.sentinel in
-    let node = { key; prev = s; next = s.next; weight = 0; dirty; tag = 0 } in
-    s.next.prev <- node;
-    s.next <- node;
-    t.count <- t.count + 1;
-    node
-
-  let unlink t node =
-    node.prev.next <- node.next;
-    node.next.prev <- node.prev;
-    node.prev <- node;
-    node.next <- node;
-    t.count <- t.count - 1
-
-  let move_to_front t node =
-    if t.sentinel.next != node then begin
-      unlink t node;
-      attach_front t node
+  let move_to_front fm l id =
+    if head fm l <> id then begin
+      unlink fm l id;
+      link_front fm l id
     end
 
-  let iter t f =
-    let s = t.sentinel in
-    let rec go node =
-      if node != s then begin
-        let next = node.next in
-        f node;
-        go next
+  (* Move a frame to the front of another list (promotion, demotion). *)
+  let transfer fm ~src ~dst id =
+    unlink fm src id;
+    link_front fm dst id;
+    set fm id f_flags
+      ((get fm id f_flags land (anon_bit lor dirty_bit)) lor (dst lsl list_shift))
+
+  let alloc fm =
+    if fm.free >= 0 then begin
+      let id = fm.free in
+      fm.free <- get fm id f_next;
+      id
+    end
+    else begin
+      let id = fm.fresh in
+      let len = Array.length fm.fr in
+      if (id + 1) * stride > len then begin
+        let fr = Array.make (2 * len) 0 in
+        Array.blit fm.fr 0 fr 0 len;
+        fm.fr <- fr
+      end;
+      fm.fresh <- id + 1;
+      id
+    end
+
+  (* Add an absent key at the front of list [l]. *)
+  let insert fm l key ~dirty ~weight =
+    let id = alloc fm in
+    let dirty = if dirty then dirty_bit else 0 and l_bits = l lsl list_shift in
+    (match key with
+    | Page.File { ino; idx } ->
+      set fm id f_a ino;
+      set fm id f_b idx;
+      set fm id f_flags (dirty lor l_bits)
+    | Page.Anon { pid; vpn } ->
+      set fm id f_a pid;
+      set fm id f_b vpn;
+      set fm id f_flags (anon_bit lor dirty lor l_bits));
+    set fm id f_weight weight;
+    link_front fm l id;
+    Page.Tbl.add fm.index key id
+
+  let key_of fm id =
+    if get fm id f_flags land anon_bit = 0 then
+      Page.File { ino = get fm id f_a; idx = get fm id f_b }
+    else Page.Anon { pid = get fm id f_a; vpn = get fm id f_b }
+
+  (* Unlink frame [id] from list [l], unindex it and free it. *)
+  let drop fm l id =
+    unlink fm l id;
+    Page.Tbl.remove_words fm.index
+      ~kind:(get fm id f_flags land anon_bit)
+      (get fm id f_a) (get fm id f_b);
+    set fm id f_next fm.free;
+    fm.free <- id
+
+  let evict_frame fm l id on_evict =
+    let key = key_of fm id and dirty = dirty fm id in
+    drop fm l id;
+    on_evict key ~dirty
+
+  (* Evict the tail of list [l], if it has one. *)
+  let take fm l on_evict =
+    count fm l > 0
+    && begin
+      evict_frame fm l (tail fm l) on_evict;
+      true
+    end
+
+  let rec iter_from fm l id f =
+    if id <> l then begin
+      let next = get fm id f_next in
+      f (key_of fm id);
+      iter_from fm l next f
+    end
+
+  (* The operations every policy shares: list 0 iterates before list 1. *)
+  module Shared (X : sig
+    val fm : t
+  end) =
+  struct
+    let mem key = mem X.fm key
+
+    let is_dirty key =
+      let id = find X.fm key in
+      id >= 0 && dirty X.fm id
+
+    let remove key =
+      let id = find X.fm key in
+      id >= 0
+      && begin
+        drop X.fm (list_of X.fm id) id;
+        true
       end
-    in
-    go s.next
+
+    (* Writeback without eviction (fsync): the page stays resident in
+       place, only its dirty bit drops. *)
+    let clean key =
+      let id = find X.fm key in
+      if id >= 0 then set X.fm id f_flags (get X.fm id f_flags land lnot dirty_bit)
+
+    let size () = size X.fm
+
+    let iter f =
+      iter_from X.fm 0 (head X.fm 0) f;
+      iter_from X.fm 1 (head X.fm 1) f
+  end
 end
-
-(* Size a policy's node table to its pool: a right-sized table skips the
-   grow-rehash ladder that a from-16 table pays on every fresh kernel
-   (the crash explorer boots one per boundary), while the cap keeps a
-   huge pool's boot allocation bounded — the table still grows on
-   demand.  [capacity / 8] reflects that most pools run far below
-   capacity in the simulated workloads. *)
-let node_tbl ~capacity : Dll.node Page.Tbl.t =
-  Page.Tbl.create (min (max 16 (capacity / 8)) 1024)
-
-let find_node tbl key : Dll.node =
-  (* [Hashtbl.find] + Not_found keeps the hit path allocation-free where
-     [find_opt] would box a [Some] per lookup. *)
-  Page.Tbl.find tbl key
-
-let tbl_is_dirty tbl key =
-  match find_node tbl key with
-  | exception Not_found -> false
-  | node -> node.Dll.dirty
-
-(* Writeback without eviction (fsync): the page stays resident in place,
-   only its dirty bit drops.  Unknown keys are ignored. *)
-let tbl_clean tbl key =
-  match find_node tbl key with
-  | exception Not_found -> ()
-  | node -> node.Dll.dirty <- false
 
 (* LRU and MRU share everything except which end of the list the victim
    comes from. *)
 let list_policy ~policy_name ~victim_end ~capacity () : t =
-  let list = Dll.create () in
-  let tbl = node_tbl ~capacity in
+  let fm = Frames.create ~capacity in
   (module struct
     let name = policy_name
-    let mem key = Page.Tbl.mem tbl key
-    let is_dirty key = tbl_is_dirty tbl key
+
+    include Frames.Shared (struct
+      let fm = fm
+    end)
 
     let access key ~dirty =
-      match find_node tbl key with
-      | exception Not_found -> false
-      | node ->
-        if dirty then node.Dll.dirty <- true;
-        Dll.move_to_front list node;
-        true
-
-    let insert key ~dirty =
-      (* the pool only inserts after a miss, so the key is known absent:
-         [Page.Tbl.add] probes once where assert+replace probed thrice *)
-      Page.Tbl.add tbl key (Dll.push_front list key ~dirty)
-
-    let evict on_evict =
-      if Dll.is_empty list then false
-      else begin
-        let node = match victim_end with `Lru -> Dll.tail list | `Mru -> Dll.head list in
-        Dll.unlink list node;
-        Page.Tbl.remove tbl node.Dll.key;
-        on_evict node.Dll.key ~dirty:node.Dll.dirty;
+      let id = Frames.find fm key in
+      id >= 0
+      && begin
+        if dirty then Frames.set_dirty fm id;
+        Frames.move_to_front fm 0 id;
         true
       end
 
-    let remove key =
-      match find_node tbl key with
-      | exception Not_found -> false
-      | node ->
-        Dll.unlink list node;
-        Page.Tbl.remove tbl key;
-        true
+    let insert key ~dirty = Frames.insert fm 0 key ~dirty ~weight:0
 
-    let clean key = tbl_clean tbl key
-    let size () = list.Dll.count
-    let iter f = Dll.iter list (fun node -> f node.Dll.key)
+    let evict on_evict =
+      Frames.count fm 0 > 0
+      && begin
+        Frames.evict_frame fm 0
+          (match victim_end with `Lru -> Frames.tail fm 0 | `Mru -> Frames.head fm 0)
+          on_evict;
+        true
+      end
   end)
 
 let lru ~capacity = list_policy ~policy_name:"lru" ~victim_end:`Lru ~capacity ()
@@ -168,44 +251,24 @@ let mru_sticky ~capacity =
   list_policy ~policy_name:"mru-sticky" ~victim_end:`Mru ~capacity ()
 
 let fifo ~capacity : t =
-  let list = Dll.create () in
-  let tbl = node_tbl ~capacity in
+  let fm = Frames.create ~capacity in
   (module struct
     let name = "fifo"
-    let mem key = Page.Tbl.mem tbl key
-    let is_dirty key = tbl_is_dirty tbl key
+
+    include Frames.Shared (struct
+      let fm = fm
+    end)
 
     let access key ~dirty =
-      match find_node tbl key with
-      | exception Not_found -> false
-      | node ->
-        if dirty then node.Dll.dirty <- true;
-        true
-
-    let insert key ~dirty =
-      Page.Tbl.add tbl key (Dll.push_front list key ~dirty)
-
-    let evict on_evict =
-      if Dll.is_empty list then false
-      else begin
-        let node = Dll.tail list in
-        Dll.unlink list node;
-        Page.Tbl.remove tbl node.Dll.key;
-        on_evict node.Dll.key ~dirty:node.Dll.dirty;
+      let id = Frames.find fm key in
+      id >= 0
+      && begin
+        if dirty then Frames.set_dirty fm id;
         true
       end
 
-    let remove key =
-      match find_node tbl key with
-      | exception Not_found -> false
-      | node ->
-        Dll.unlink list node;
-        Page.Tbl.remove tbl key;
-        true
-
-    let clean key = tbl_clean tbl key
-    let size () = list.Dll.count
-    let iter f = Dll.iter list (fun node -> f node.Dll.key)
+    let insert key ~dirty = Frames.insert fm 0 key ~dirty ~weight:0
+    let evict on_evict = Frames.take fm 0 on_evict
   end)
 
 (* Clock with reference aging.  The list acts as the ring in insertion
@@ -218,306 +281,209 @@ let fifo ~capacity : t =
    inactive page aging. *)
 let clock_max_weight = 2
 
+let rec clock_sweep fm on_evict =
+  Frames.count fm 0 > 0
+  &&
+  let id = Frames.tail fm 0 in
+  let w = Frames.get fm id Frames.f_weight in
+  if w > 0 then begin
+    Frames.set fm id Frames.f_weight (w - 1);
+    Frames.move_to_front fm 0 id;
+    clock_sweep fm on_evict
+  end
+  else begin
+    Frames.evict_frame fm 0 id on_evict;
+    true
+  end
+
 let clock ~capacity : t =
-  let list = Dll.create () in
-  let tbl = node_tbl ~capacity in
+  let fm = Frames.create ~capacity in
   (module struct
     let name = "clock"
-    let mem key = Page.Tbl.mem tbl key
-    let is_dirty key = tbl_is_dirty tbl key
+
+    include Frames.Shared (struct
+      let fm = fm
+    end)
 
     let access key ~dirty =
-      match find_node tbl key with
-      | exception Not_found -> false
-      | node ->
-        if dirty then node.Dll.dirty <- true;
-        node.Dll.weight <- min (node.Dll.weight + 1) clock_max_weight;
+      let id = Frames.find fm key in
+      id >= 0
+      && begin
+        if dirty then Frames.set_dirty fm id;
+        let w = Frames.get fm id Frames.f_weight in
+        if w < clock_max_weight then Frames.set fm id Frames.f_weight (w + 1);
         true
+      end
 
-    let insert key ~dirty =
-      let node = Dll.push_front list key ~dirty in
-      node.Dll.weight <- 1;
-      Page.Tbl.add tbl key node
-
-    let evict on_evict =
-      let rec sweep () =
-        if Dll.is_empty list then false
-        else begin
-          let node = Dll.tail list in
-          if node.Dll.weight > 0 then begin
-            node.Dll.weight <- node.Dll.weight - 1;
-            Dll.move_to_front list node;
-            sweep ()
-          end
-          else begin
-            Dll.unlink list node;
-            Page.Tbl.remove tbl node.Dll.key;
-            on_evict node.Dll.key ~dirty:node.Dll.dirty;
-            true
-          end
-        end
-      in
-      sweep ()
-
-    let remove key =
-      match find_node tbl key with
-      | exception Not_found -> false
-      | node ->
-        Dll.unlink list node;
-        Page.Tbl.remove tbl key;
-        true
-
-    let clean key = tbl_clean tbl key
-    let size () = list.Dll.count
-    let iter f = Dll.iter list (fun node -> f node.Dll.key)
+    let insert key ~dirty = Frames.insert fm 0 key ~dirty ~weight:1
+    let evict on_evict = clock_sweep fm on_evict
   end)
 
-(* Segment tags for the two-queue policies. *)
-let tag_probation = 0
-let tag_main = 1
+(* The two-queue policies keep their first queue in list 0 and their
+   second in list 1.  A hit on list 0 promotes the frame to the front of
+   list 1 (same frame, so its dirty bit travels with it). *)
+let first_list = 0
+let second_list = 1
 
-(* Simplified 2Q: new pages enter a FIFO probation queue sized to a quarter
-   of capacity; a hit while on probation promotes to the protected LRU main
-   queue.  Victims come from probation first.  Promotion moves the node
-   between lists (same node, so its dirty bit travels with it). *)
+(* Simplified 2Q: new pages enter a FIFO probation queue (list 0) sized to
+   a quarter of capacity; a hit while on probation promotes to the
+   protected LRU main queue (list 1).  Victims come from probation
+   first. *)
 let two_q ~capacity : t =
-  let probation = Dll.create () in
-  let main = Dll.create () in
-  let where = node_tbl ~capacity in
+  let fm = Frames.create ~capacity in
   let probation_max = max 1 (capacity / 4) in
   (module struct
     let name = "two-q"
-    let mem key = Page.Tbl.mem where key
-    let is_dirty key = tbl_is_dirty where key
+
+    include Frames.Shared (struct
+      let fm = fm
+    end)
 
     let access key ~dirty =
-      match find_node where key with
-      | exception Not_found -> false
-      | node ->
-        if dirty then node.Dll.dirty <- true;
-        if node.Dll.tag = tag_probation then begin
-          Dll.unlink probation node;
-          Dll.attach_front main node;
-          node.Dll.tag <- tag_main
-        end
-        else Dll.move_to_front main node;
-        true
-
-    let insert key ~dirty =
-      Page.Tbl.add where key (Dll.push_front probation key ~dirty)
-
-    let take list on_evict =
-      if Dll.is_empty list then false
-      else begin
-        let node = Dll.tail list in
-        Dll.unlink list node;
-        Page.Tbl.remove where node.Dll.key;
-        on_evict node.Dll.key ~dirty:node.Dll.dirty;
+      let id = Frames.find fm key in
+      id >= 0
+      && begin
+        if dirty then Frames.set_dirty fm id;
+        if Frames.list_of fm id = first_list then
+          Frames.transfer fm ~src:first_list ~dst:second_list id
+        else Frames.move_to_front fm second_list id;
         true
       end
+
+    let insert key ~dirty = Frames.insert fm first_list key ~dirty ~weight:0
 
     let evict on_evict =
       (* Evict from probation while it exceeds its share, otherwise give up
          the coldest protected page; fall back to whichever queue has
          pages. *)
-      if probation.Dll.count > probation_max then take probation on_evict
-      else take main on_evict || take probation on_evict
-
-    let remove key =
-      match find_node where key with
-      | exception Not_found -> false
-      | node ->
-        Dll.unlink (if node.Dll.tag = tag_probation then probation else main) node;
-        Page.Tbl.remove where key;
-        true
-
-    let clean key = tbl_clean where key
-    let size () = probation.Dll.count + main.Dll.count
-
-    let iter f =
-      Dll.iter probation (fun node -> f node.Dll.key);
-      Dll.iter main (fun node -> f node.Dll.key)
+      if Frames.count fm first_list > probation_max then Frames.take fm first_list on_evict
+      else Frames.take fm second_list on_evict || Frames.take fm first_list on_evict
   end)
 
-(* Segmented LRU: pages start probationary; a hit promotes to the protected
-   segment (bounded to ~3/4 of capacity, demoting its LRU tail back to
-   probation).  Victims come from the probationary tail. *)
+(* Move [from]'s tail to the front of [to_] while [from] holds more than
+   [max] frames. *)
+let rec demote_overflow fm ~from ~to_ ~max =
+  if Frames.count fm from > max then begin
+    Frames.transfer fm ~src:from ~dst:to_ (Frames.tail fm from);
+    demote_overflow fm ~from ~to_ ~max
+  end
+
+(* Segmented LRU: pages start probationary (list 0); a hit promotes to the
+   protected segment (list 1, bounded to ~3/4 of capacity, demoting its
+   LRU tail back to probation).  Victims come from the probationary
+   tail. *)
 let segmented_lru ~capacity : t =
-  let probation = Dll.create () in
-  let protected_ = Dll.create () in
-  let where = node_tbl ~capacity in
+  let fm = Frames.create ~capacity in
   let protected_max = max 1 (capacity * 3 / 4) in
   (module struct
     let name = "segmented-lru"
-    let mem key = Page.Tbl.mem where key
-    let is_dirty key = tbl_is_dirty where key
 
-    let demote_overflow () =
-      while protected_.Dll.count > protected_max do
-        let node = Dll.tail protected_ in
-        Dll.unlink protected_ node;
-        Dll.attach_front probation node;
-        node.Dll.tag <- tag_probation
-      done
+    include Frames.Shared (struct
+      let fm = fm
+    end)
 
     let access key ~dirty =
-      match find_node where key with
-      | exception Not_found -> false
-      | node ->
-        if dirty then node.Dll.dirty <- true;
-        if node.Dll.tag = tag_probation then begin
-          Dll.unlink probation node;
-          Dll.attach_front protected_ node;
-          node.Dll.tag <- tag_main;
-          demote_overflow ()
+      let id = Frames.find fm key in
+      id >= 0
+      && begin
+        if dirty then Frames.set_dirty fm id;
+        if Frames.list_of fm id = first_list then begin
+          Frames.transfer fm ~src:first_list ~dst:second_list id;
+          demote_overflow fm ~from:second_list ~to_:first_list ~max:protected_max
         end
-        else Dll.move_to_front protected_ node;
-        true
-
-    let insert key ~dirty =
-      Page.Tbl.add where key (Dll.push_front probation key ~dirty)
-
-    let take list on_evict =
-      if Dll.is_empty list then false
-      else begin
-        let node = Dll.tail list in
-        Dll.unlink list node;
-        Page.Tbl.remove where node.Dll.key;
-        on_evict node.Dll.key ~dirty:node.Dll.dirty;
+        else Frames.move_to_front fm second_list id;
         true
       end
 
-    let evict on_evict = take probation on_evict || take protected_ on_evict
+    let insert key ~dirty = Frames.insert fm first_list key ~dirty ~weight:0
 
-    let remove key =
-      match find_node where key with
-      | exception Not_found -> false
-      | node ->
-        Dll.unlink
-          (if node.Dll.tag = tag_probation then probation else protected_)
-          node;
-        Page.Tbl.remove where key;
-        true
-
-    let clean key = tbl_clean where key
-    let size () = probation.Dll.count + protected_.Dll.count
-
-    let iter f =
-      Dll.iter probation (fun node -> f node.Dll.key);
-      Dll.iter protected_ (fun node -> f node.Dll.key)
+    let evict on_evict =
+      Frames.take fm first_list on_evict || Frames.take fm second_list on_evict
   end)
+
+(* EELRU's decayed evidence, an all-float record so updates store
+   unboxed. *)
+type eelru_evidence = { mutable late_hits : float; mutable ghost_hits : float }
+
+let decay ev =
+  ev.late_hits <- ev.late_hits *. 0.999;
+  ev.ghost_hits <- ev.ghost_hits *. 0.999
 
 (* Approximate EELRU (Smaragdakis, Kaplan & Wilson, SIGMETRICS '99), the
    adaptive fix for LRU's looping worst case that the paper cites for
    "LRU worst-case mode".  Residents are split at an early-eviction point
-   [e ~ capacity/2]; a bounded ghost list remembers recent evictions.
-   When recently evicted pages keep being re-referenced (a loop larger
-   than memory) while pages between [e] and the LRU tail are not, the
-   policy evicts early — at position [e] — preserving the head of the
-   loop so part of it always hits. *)
+   [e ~ capacity/2] into an early segment (list 0) and a late one (list
+   1); a bounded ghost list remembers recent evictions.  When recently
+   evicted pages keep being re-referenced (a loop larger than memory)
+   while pages between [e] and the LRU tail are not, the policy evicts
+   early — at position [e] — preserving the head of the loop so part of
+   it always hits.  The ghost list is a second frame table whose one list
+   is the FIFO of remembered keys. *)
 let eelru ~capacity : t =
-  let early = Dll.create () in
-  let late = Dll.create () in
-  let where = node_tbl ~capacity in
-  let ghosts : int Page.Tbl.t = Page.Tbl.create 64 in
-  let ghost_fifo = Queue.create () in
+  let early = first_list and late = second_list in
+  let fm = Frames.create ~capacity in
+  let ghosts = Frames.create ~capacity in
   let ghost_max = max 8 capacity in
   let early_max = max 1 (capacity / 2) in
-  let late_hits = ref 0.0 in
-  let ghost_hits = ref 0.0 in
-  let decay () =
-    late_hits := !late_hits *. 0.999;
-    ghost_hits := !ghost_hits *. 0.999
-  in
-  let add_ghost key =
-    if not (Page.Tbl.mem ghosts key) then begin
-      Page.Tbl.replace ghosts key 0;
-      Queue.push key ghost_fifo;
-      while Queue.length ghost_fifo > ghost_max do
-        Page.Tbl.remove ghosts (Queue.pop ghost_fifo)
-      done
-    end
-  in
-  (* early = tag_main, late = tag_probation would read backwards; use
-     explicit tags for the two recency segments instead. *)
-  let tag_early = 0 and tag_late = 1 in
+  let ev = { late_hits = 0.0; ghost_hits = 0.0 } in
   (module struct
     let name = "eelru"
-    let mem key = Page.Tbl.mem where key
-    let is_dirty key = tbl_is_dirty where key
 
-    let demote_overflow () =
-      while early.Dll.count > early_max do
-        let node = Dll.tail early in
-        Dll.unlink early node;
-        Dll.attach_front late node;
-        node.Dll.tag <- tag_late
-      done
+    include Frames.Shared (struct
+      let fm = fm
+    end)
 
     let access key ~dirty =
-      match find_node where key with
-      | exception Not_found -> false
-      | node ->
-        decay ();
-        if dirty then node.Dll.dirty <- true;
-        if node.Dll.tag = tag_early then Dll.move_to_front early node
+      let id = Frames.find fm key in
+      id >= 0
+      && begin
+        decay ev;
+        if dirty then Frames.set_dirty fm id;
+        if Frames.list_of fm id = early then Frames.move_to_front fm early id
         else begin
           (* a hit beyond the early point argues against early eviction *)
-          late_hits := !late_hits +. 1.0;
-          Dll.unlink late node;
-          Dll.attach_front early node;
-          node.Dll.tag <- tag_early;
-          demote_overflow ()
+          ev.late_hits <- ev.late_hits +. 1.0;
+          Frames.transfer fm ~src:late ~dst:early id;
+          demote_overflow fm ~from:early ~to_:late ~max:early_max
         end;
         true
+      end
 
     let insert key ~dirty =
-      decay ();
-      if Page.Tbl.mem ghosts key then
+      decay ev;
+      if Frames.mem ghosts key then
         (* re-reference shortly after eviction: the loop is bigger than
            memory — evidence for evicting early *)
-        ghost_hits := !ghost_hits +. 1.0;
-      Page.Tbl.add where key (Dll.push_front early key ~dirty);
-      demote_overflow ()
+        ev.ghost_hits <- ev.ghost_hits +. 1.0;
+      Frames.insert fm early key ~dirty ~weight:0;
+      demote_overflow fm ~from:early ~to_:late ~max:early_max
 
-    let take_node list node on_evict =
-      Dll.unlink list node;
-      Page.Tbl.remove where node.Dll.key;
-      add_ghost node.Dll.key;
-      on_evict node.Dll.key ~dirty:node.Dll.dirty
+    let evict_at l id on_evict =
+      let key = Frames.key_of fm id and dirty = Frames.dirty fm id in
+      Frames.drop fm l id;
+      if not (Frames.mem ghosts key) then begin
+        Frames.insert ghosts 0 key ~dirty:false ~weight:0;
+        if Frames.count ghosts 0 > ghost_max then
+          Frames.drop ghosts 0 (Frames.tail ghosts 0)
+      end;
+      on_evict key ~dirty
 
-    let take list on_evict =
-      if Dll.is_empty list then false
-      else begin
-        take_node list (Dll.tail list) on_evict;
+    let take l on_evict =
+      Frames.count fm l > 0
+      && begin
+        evict_at l (Frames.tail fm l) on_evict;
         true
       end
 
     let evict on_evict =
-      let early_eviction = !ghost_hits > !late_hits +. 1.0 in
-      if early_eviction then
+      if ev.ghost_hits > ev.late_hits +. 1.0 then
         (* evict at the early point: the head of the late segment *)
-        if not (Dll.is_empty late) then begin
-          take_node late (Dll.head late) on_evict;
+        if Frames.count fm late > 0 then begin
+          evict_at late (Frames.head fm late) on_evict;
           true
         end
         else take early on_evict
       else take late on_evict || take early on_evict
-
-    let remove key =
-      match find_node where key with
-      | exception Not_found -> false
-      | node ->
-        Dll.unlink (if node.Dll.tag = tag_early then early else late) node;
-        Page.Tbl.remove where key;
-        true
-
-    let clean key = tbl_clean where key
-    let size () = early.Dll.count + late.Dll.count
-
-    let iter f =
-      Dll.iter early (fun node -> f node.Dll.key);
-      Dll.iter late (fun node -> f node.Dll.key)
   end)
 
 let registry =

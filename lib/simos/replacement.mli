@@ -1,13 +1,20 @@
 (** Page-replacement policies.
 
     A policy tracks the set of resident page keys — including each page's
-    dirty bit, so the hot path costs one hash lookup — and chooses eviction
-    victims; the enclosing {!Pool} enforces capacity and counts.  Each
-    call to a factory creates an independent stateful instance (a
+    dirty bit, so the hot path costs one index lookup — and chooses
+    eviction victims; the enclosing {!Pool} enforces capacity and counts.
+    Each call to a factory creates an independent stateful instance (a
     first-class module).
 
+    Every policy keeps its pages in one frame table: unboxed frames in a
+    flat [int array] (key words, dirty and list flags, clock weight,
+    list links) found through a {!Page.Tbl} index.  A hit ({!POLICY.access}
+    on a resident key) allocates nothing; an eviction allocates only the
+    victim key it hands to the callback; {!POLICY.iter} builds one key per
+    resident page.
+
     Policies provided:
-    - [lru] — exact least-recently-used (list + hash table);
+    - [lru] — exact least-recently-used;
     - [clock] — one-hand clock with reference bits, the classical LRU
       approximation ("any operating system using an approximation of LRU,
       such as the clock algorithm", Section 4.1.1);
@@ -39,7 +46,8 @@ module type POLICY = sig
   val evict : (Page.key -> dirty:bool -> unit) -> bool
   (** Choose an eviction victim, remove it, and hand it (with its dirty
       bit) to the callback; [false] when no page is resident.  The
-      callback form keeps the per-eviction path allocation-free. *)
+      callback form keeps the victim key the only allocation of an
+      eviction. *)
 
   val remove : Page.key -> bool
   (** Drop a key (invalidation, not eviction — no victim callback);
@@ -52,7 +60,11 @@ module type POLICY = sig
       place — the fsync path).  Unknown keys are ignored. *)
 
   val size : unit -> int
+
   val iter : (Page.key -> unit) -> unit
+  (** Resident keys in the policy's list order (for the two-segment
+      policies, the first segment before the second; each from its MRU
+      end). *)
 end
 
 type t = (module POLICY)

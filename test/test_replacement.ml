@@ -234,6 +234,68 @@ let prop_policy_consistency factory policy_label =
           if Hashtbl.mem model k then incr seen);
       !seen = Hashtbl.length model)
 
+(* The per-page paths of the pool must not allocate: a hit costs zero
+   minor words, a miss that evicts costs at most the victim key (3
+   words) handed to the callback.  Steady state only: the pools are
+   filled and one round of evictions is run first, so the frame arena,
+   the index and EELRU's ghost list have reached their working size. *)
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let no_evict _ ~dirty:_ = ()
+
+let test_hot_paths_allocate_nothing () =
+  let capacity = 512 in
+  let key i =
+    if i land 1 = 0 then Page.File { ino = (1 lsl 44) lor 5; idx = i }
+    else Page.Anon { pid = 9; vpn = i }
+  in
+  let resident = Array.init capacity key in
+  let fresh = Array.init (8 * capacity) (fun i -> key (capacity + i)) in
+  let overhead = minor_words (fun () -> ()) in
+  List.iter
+    (fun name ->
+      let pool =
+        Pool.create ~name ~capacity_pages:capacity ~policy:(Replacement.of_name name)
+      in
+      let miss k ~dirty =
+        if not (Pool.try_hit pool k ~dirty) then Pool.fill pool k ~dirty ~on_evict:no_evict
+      in
+      Array.iter (fun k -> miss k ~dirty:false) resident;
+      let hits = ref 0 in
+      let words =
+        minor_words (fun () ->
+            for round = 1 to 4 do
+              for i = 0 to capacity - 1 do
+                let dirty = i mod (round + 2) = 0 in
+                if Pool.try_hit pool resident.(i) ~dirty then incr hits
+              done
+            done)
+      in
+      Alcotest.(check int) (name ^ ": every access hit") (4 * capacity) !hits;
+      Alcotest.(check (float 0.0)) (name ^ ": minor words per hit") 0.0
+        ((words -. overhead) /. float_of_int !hits);
+      (* warm the eviction path, then measure it *)
+      for i = 0 to (2 * capacity) - 1 do
+        miss fresh.(i) ~dirty:(i land 3 = 0)
+      done;
+      let evictions0 = Pool.evictions pool in
+      let words =
+        minor_words (fun () ->
+            for i = 2 * capacity to Array.length fresh - 1 do
+              miss fresh.(i) ~dirty:(i land 3 = 0)
+            done)
+      in
+      let evicted = Pool.evictions pool - evictions0 in
+      Alcotest.(check int) (name ^ ": one eviction per miss") (6 * capacity) evicted;
+      let per_eviction = (words -. overhead) /. float_of_int evicted in
+      if per_eviction > 3.0 then
+        Alcotest.failf "%s: %.2f minor words per eviction (at most the 3-word victim key)"
+          name per_eviction)
+    Replacement.all_names
+
 let suite =
   [
     Alcotest.test_case "lru order" `Quick test_lru_order;
@@ -256,4 +318,5 @@ let suite =
     Alcotest.test_case "eelru survives looping" `Quick test_eelru_survives_looping;
     Alcotest.test_case "eelru = lru when fitting" `Quick test_eelru_plain_lru_when_fitting;
     QCheck_alcotest.to_alcotest (prop_policy_consistency Replacement.eelru "eelru");
+    Alcotest.test_case "hot paths allocate nothing" `Quick test_hot_paths_allocate_nothing;
   ]
