@@ -88,13 +88,9 @@ let rec run_hot_paths () =
     let p = mk "hit-run" and base = ref 0 in
     Test.make ~name:"hit/batched" (Staged.stage (fun () ->
         let b = !base in
-        Pool.access_run p ~n:run_len
-          ~key:(fun i -> fkey ((b + i) mod capacity))
-          ~dirty:false
-          ~on_hit:(fun _ _ -> ())
-          ~on_miss:(fun _ _ -> ())
-          ~on_evict:no_evict
-          ~on_page_end:(fun _ ~evicted:_ -> ());
+        for i = b to b + run_len - 1 do
+          ignore (Pool.try_hit p (fkey (i mod capacity)) ~dirty:false)
+        done;
         base := (b + run_len) mod capacity))
   in
   (* misses: an endless sequential scan, every access evicts one page *)
@@ -111,13 +107,10 @@ let rec run_hot_paths () =
     let p = mk "miss-run" and next = ref capacity in
     Test.make ~name:"miss/batched" (Staged.stage (fun () ->
         let b = !next in
-        Pool.access_run p ~n:run_len
-          ~key:(fun i -> fkey (b + i))
-          ~dirty:false
-          ~on_hit:(fun _ _ -> ())
-          ~on_miss:(fun _ _ -> ())
-          ~on_evict:no_evict
-          ~on_page_end:(fun _ ~evicted:_ -> ());
+        for i = b to b + run_len - 1 do
+          if not (Pool.try_hit p (fkey i) ~dirty:false) then
+            Pool.fill p (fkey i) ~dirty:false ~on_evict:no_evict
+        done;
         next := b + run_len))
   in
   Printf.printf
@@ -138,10 +131,10 @@ let rec run_hot_paths () =
   in
   report "hit" hit_per_page hit_batched;
   report "miss" miss_per_page miss_batched;
-  (* the accounting ledger's cost on the same batched read path: the
-     callbacks bump a cached per-process stats row and the flight
-     recorder stores five ints per run — vs the no-op callbacks above.
-     The kernel cannot run without the ledger (it is the only count), so
+  (* the accounting ledger's cost on the same batched read path: one
+     add to a cached per-process stats row per hit run, and the flight
+     recorder storing five ints per call — vs the bare run above.  The
+     kernel cannot run without the ledger (it is the only count), so
      this row is the measure of what the ledger costs per page. *)
   let hit_accounted =
     let p = mk "hit-acct" and base = ref 0 in
@@ -153,13 +146,11 @@ let rec run_hot_paths () =
            let b = !base in
            Gray_util.Flight.record fl ~ts:b ~code:Gray_util.Flight.Read ~pid:1
              ~a:0 ~b:0;
-           Pool.access_run p ~n:run_len
-             ~key:(fun i -> fkey ((b + i) mod capacity))
-             ~dirty:false
-             ~on_hit:(fun _ _ -> st.Account.hits <- st.Account.hits + 1)
-             ~on_miss:(fun _ _ -> st.Account.misses <- st.Account.misses + 1)
-             ~on_evict:no_evict
-             ~on_page_end:(fun _ ~evicted:_ -> ());
+           let h = ref 0 in
+           for i = b to b + run_len - 1 do
+             if Pool.try_hit p (fkey (i mod capacity)) ~dirty:false then incr h
+           done;
+           st.Account.hits <- st.Account.hits + !h;
            base := (b + run_len) mod capacity))
   in
   Printf.printf
@@ -173,6 +164,7 @@ let rec run_hot_paths () =
       (if bare > 0.0 then (ledger -. bare) /. bare *. 100.0 else 0.0)
   | _ -> Printf.printf "  acct  (no estimate)\n");
   run_hot_paths_policies ();
+  run_hot_paths_kernel ();
   run_hot_paths_fs ()
 
 (* One row per replacement policy at a DRAM-sized pool: linux-2.2's usable
@@ -239,6 +231,48 @@ and run_hot_paths_policies () =
       Printf.printf "  %-14s %12.1f %13.2f %13.1f %14.2f\n%!" name hit_ns hit_words miss_ns
         miss_words)
     Replacement.all_names
+
+(* The kernel's page loops on resident pages of a noisy linux-2.2
+   (sigma 0.05): a [touch_pages] of a 64 MB region, where each call is
+   one hit run settled by a ledger add and a tick sample per page, and a
+   4 MB [read], one hit run settled by a ledger add and its copy costs.
+   Whole calls timed with the wall clock.  Words are minor words per
+   page: the key each page is looked up by (the touch's result array
+   is large enough to go straight to the major heap). *)
+and run_hot_paths_kernel () =
+  let must = function Ok v -> v | Error e -> failwith (Kernel.error_to_string e) in
+  let k = Kernel.boot ~engine:(Engine.create ()) ~platform:Platform.linux_2_2 ~data_disks:1 ~seed:42 () in
+  let per_page ~calls ~pages f =
+    f ();
+    let w0 = Gc.minor_words () in
+    let t0 = Monotonic_clock.now () in
+    for _ = 1 to calls do
+      f ()
+    done;
+    let ns = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) in
+    let n = float_of_int (calls * pages) in
+    (ns /. n, (Gc.minor_words () -. w0) /. n)
+  in
+  Kernel.spawn k (fun env ->
+      let region_pages = 16_384 in
+      let r = Kernel.valloc env ~pages:region_pages in
+      let touch_ns, touch_words =
+        per_page ~calls:20 ~pages:region_pages (fun () ->
+            ignore (Kernel.touch_pages env r ~first:0 ~count:region_pages))
+      in
+      let len = 4 * 1024 * 1024 in
+      let fd = must (Kernel.create_file env "/d0/hot") in
+      ignore (must (Kernel.write env fd ~off:0 ~len));
+      let read_ns, read_words =
+        per_page ~calls:500 ~pages:(len / 4096) (fun () ->
+            ignore (must (Kernel.read env fd ~off:0 ~len)))
+      in
+      Printf.printf "# kernel page loops on resident pages (linux-2.2, sigma 0.05)\n";
+      Printf.printf "  %-34s %8.1f ns/page %7.2f words/page\n"
+        "touch_pages, 16384-page hit run" touch_ns touch_words;
+      Printf.printf "  %-34s %8.1f ns/page %7.2f words/page\n%!" "read, resident 4 MB" read_ns
+        read_words);
+  Kernel.run k
 
 (* The PR-7 surfaces on the same trendline: the incremental fsck against
    the full-scan oracle it replaces on the explorer's per-boundary path,

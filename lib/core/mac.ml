@@ -67,18 +67,15 @@ let last : stats Domain.DLS.key =
 
 let last_stats () = Domain.DLS.get last
 
+(* Stops at the k-th slow sample in a row (any slow sample when k < 1). *)
 let has_consecutive_slow times ~threshold ~k =
-  let run = ref 0 in
-  let found = ref false in
-  Array.iter
-    (fun t ->
-      if t > threshold then begin
-        incr run;
-        if !run >= k then found := true
-      end
-      else run := 0)
-    times;
-  !found
+  let k = max 1 k and n = Array.length times in
+  let run = ref 0 and i = ref 0 in
+  while !run < k && !i < n do
+    if times.(!i) > threshold then incr run else run := 0;
+    incr i
+  done;
+  !run >= k
 
 (* Touch a range in bounded chunks so that competing processes get to run
    (and re-reference their working sets) while we probe — one huge vectored

@@ -31,19 +31,23 @@ let retries_spent p = p.spent
    idempotent variant live in the functor — one [policy] type (and one
    [classify]) is shared across backends. *)
 module Make (Os : Os_intf.S) = struct
-  let retry ?policy:p f =
-    let p = match p with Some p -> p | None -> default () in
-    let rec attempt n prev_sleep =
+  (* Without [?policy] the call gets a fresh [default ()], which only a
+     transient error reads — so it is built at the first one. *)
+  let retry ?policy f =
+    let rec attempt policy n prev_sleep =
       match f () with
       | Ok v -> Ok v
       | Error e -> (
         match classify e with
         | `Permanent -> Error e
         | `Transient ->
+          let p = match policy with Some p -> p | None -> default () in
           if n >= p.max_attempts || p.spent >= p.budget then Error e
           else begin
             p.spent <- p.spent + 1;
-            (* decorrelated jitter: sleep in [base, 3 * previous], capped *)
+            (* decorrelated jitter: sleep in [base, 3 * previous], capped;
+               the first retry's "previous" is the base *)
+            let prev_sleep = if n = 1 then p.base_backoff_ns else prev_sleep in
             let hi = max p.base_backoff_ns (3 * prev_sleep) in
             let sleep =
               min p.max_backoff_ns
@@ -57,10 +61,10 @@ module Make (Os : Os_intf.S) = struct
                 ~attrs:(fun () ->
                   [ ("attempt", Telemetry.Int n); ("sleep_ns", Telemetry.Int sleep) ]));
             Os.sleep_ns sleep;
-            attempt (n + 1) sleep
+            attempt (Some p) (n + 1) sleep
           end)
     in
-    attempt 1 p.base_backoff_ns
+    attempt policy 1 0
 
   (* Retry for non-idempotent calls under crash–restart.  A create that
      completed durably just before a crash fails its re-issue with [Eexist];
@@ -68,8 +72,7 @@ module Make (Os : Os_intf.S) = struct
      took effect and supplies the result.  Crucially it is consulted only on
      a RE-issue: the same error on the very first attempt is a genuine
      conflict and surfaces unchanged. *)
-  let retry_idempotent ?policy:p ~completed f =
-    let p = match p with Some p -> p | None -> default () in
+  let retry_idempotent ?policy ~completed f =
     let reissued = ref false in
     let wrapped () =
       let r = f () in
@@ -78,7 +81,7 @@ module Make (Os : Os_intf.S) = struct
       | _ -> ());
       r
     in
-    match retry ~policy:p wrapped with
+    match retry ?policy wrapped with
     | Ok v -> Ok v
     | Error e when !reissued -> (
       match completed e with Some v -> Ok v | None -> Error e)

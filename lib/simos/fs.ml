@@ -628,6 +628,19 @@ let block_of_page t ~ino ~idx =
   | Some node ->
     if idx < 0 || idx >= node.nblocks then None else Some (nth_block t node idx)
 
+(* A view of the arena slice: valid while no block list changes (a
+   resize may move the extent or regrow the arena). *)
+type extent = { x_arena : int array; x_off : int; x_len : int }
+
+let no_extent = { x_arena = [||]; x_off = 0; x_len = 0 }
+
+let extent t ~ino =
+  match Hashtbl.find_opt t.inodes ino with
+  | None -> no_extent
+  | Some node -> { x_arena = t.arena; x_off = node.ext_off; x_len = node.nblocks }
+
+let extent_block x idx = if idx < 0 || idx >= x.x_len then -1 else x.x_arena.(x.x_off + idx)
+
 let pages_of_file t ~ino =
   match Hashtbl.find_opt t.inodes ino with None -> 0 | Some node -> node.nblocks
 

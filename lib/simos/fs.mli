@@ -86,6 +86,16 @@ val resize : t -> ino:int -> size:int -> (unit, error) result
 val block_of_page : t -> ino:int -> idx:int -> int option
 (** Disk block backing page [idx] of the file, if allocated. *)
 
+type extent
+(** An inode's block list, looked up once.  Valid only until the next
+    change to any file's blocks (resize, unlink, rename over, crash). *)
+
+val extent : t -> ino:int -> extent
+(** Empty for an unknown inode. *)
+
+val extent_block : extent -> int -> int
+(** [block_of_page] on the looked-up list, with [-1] for [None]. *)
+
 val pages_of_file : t -> ino:int -> int
 (** Number of data pages ([ceil (size / 4 KB)]). *)
 

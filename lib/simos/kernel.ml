@@ -494,10 +494,11 @@ let writeback_victim env ~now key ~dirty =
     now + d
 
 (* One page's worth of eviction telemetry (a metric bump and a point, as
-   the per-page path has always emitted). *)
-let note_evictions env ~n =
+   the per-page path has always emitted); [tele] is the caller's
+   [Tele.active ()]. *)
+let note_evictions env tele ~n =
   if n > 0 then
-    match Tele.active () with
+    match tele with
     | None -> ()
     | Some s ->
       Tele.add_in s ~n "simos.kernel.evictions";
@@ -513,7 +514,7 @@ let handle_evictions env ~now evicted =
     (fun ({ key; dirty } : Pool.evicted) ->
       cur := writeback_victim env ~now:!cur key ~dirty)
     evicted;
-  note_evictions env ~n:(List.length evicted);
+  note_evictions env (Tele.active ()) ~n:(List.length evicted);
   !cur
 
 (* Fetch one file-metadata or data page into the cache.  The hit/miss
@@ -613,7 +614,15 @@ let file_size env fd =
 let page_size env = env.e_k.k_platform.Platform.page_size
 
 (* Shared page-walking read/write core.  Batches consecutive missing disk
-   blocks into single transfers so sequential scans stream. *)
+   blocks into single transfers so sequential scans stream.
+
+   The walk scans for hits with one policy lookup per page and settles
+   each run of them at once, when a miss or the end of the range ends
+   it: the run flushes the pending fetch (a hit ends a batch), adds its
+   length to the ledger and charges its copies.  A missed page queues
+   its block, is filled (victims write back between fetches) and
+   charges its copy — in the order the per-page path did, so every disk
+   request and clock advance is the same. *)
 let io_pages env ~vol ~ino ~off ~len ~write =
   let t = env.e_k in
   let v = t.k_volumes.(vol) in
@@ -638,38 +647,63 @@ let io_pages env ~vol ~ino ~off ~len ~write =
     end
   in
   let tele = Tele.active () in
-  (* Batched fast path: one policy lookup classifies each page, and the
-     callbacks replay the per-page path's actions in the same order — the
-     pending-run accumulator still batches consecutive missing blocks into
-     single disk transfers, and victims write back between them. *)
-  Memory.access_run t.k_mem
-    ~n:(last_page - first_page + 1)
-    ~key:(fun i -> Page.File { ino = gino; idx = first_page + i })
-    ~dirty:write
-    ~on_hit:(fun _ _ ->
-      acct_hit env;
-      flush_pending ())
-    ~on_miss:(fun i _ ->
+  let pool = Memory.file_pool t.k_mem in
+  let victims =
+    Memory.victims t.k_mem (fun k ~dirty -> now := writeback_victim env ~now:!now k ~dirty)
+  in
+  (* Copy costs: every page but the (partial) first and last moves a
+     whole page. *)
+  let copy_page p =
+    let page_lo = p * psz in
+    copy_cost t (min (off + len) (page_lo + psz) - max off page_lo)
+  in
+  let whole = copy_cost t psz in
+  let settle_hits a b =
+    if a <= b then begin
+      flush_pending ();
+      st.Account.hits <- st.Account.hits + (b - a + 1);
+      let c = ref ((b - a + 1) * whole) in
+      if a = first_page then c := !c - whole + copy_page a;
+      if b = last_page && b <> first_page then c := !c - whole + copy_page b;
+      now := !now + !c
+    end
+  in
+  (* looked up at the first miss of a read; no block list changes
+     during the walk *)
+  let blocks = ref None in
+  let run_start = ref first_page in
+  for p = first_page to last_page do
+    let key = Page.File { ino = gino; idx = p } in
+    if not (Pool.try_hit pool key ~dirty:write) then begin
+      settle_hits !run_start (p - 1);
+      run_start := p + 1;
       acct_miss env;
       (* Reads must fetch the page; writes of whole pages just allocate a
          cache page (read-modify-write of partial pages is not modelled). *)
-      if not write then
-        match Fs.block_of_page v.v_fs ~ino ~idx:(first_page + i) with
-        | None -> () (* hole: zero-fill, copy cost only *)
-        | Some b ->
-          if !pending_count > 0 && b = !pending_start + !pending_count then
-            incr pending_count
-          else begin
-            flush_pending ();
-            pending_start := b;
-            pending_count := 1
-          end)
-    ~on_evict:(fun k ~dirty -> now := writeback_victim env ~now:!now k ~dirty)
-    ~on_page_end:(fun i ~evicted ->
-      note_evictions env ~n:evicted;
-      let p = first_page + i in
-      let page_lo = p * psz in
-      now := !now + copy_cost t (min (off + len) (page_lo + psz) - max off page_lo));
+      (if not write then
+         let x =
+           match !blocks with
+           | Some x -> x
+           | None ->
+             let x = Fs.extent v.v_fs ~ino in
+             blocks := Some x;
+             x
+         in
+         let b = Fs.extent_block x p in
+         (* a hole costs its copy only: it zero-fills *)
+         if b >= 0 then
+           if !pending_count > 0 && b = !pending_start + !pending_count then
+             incr pending_count
+           else begin
+             flush_pending ();
+             pending_start := b;
+             pending_count := 1
+           end);
+      note_evictions env tele ~n:(Memory.fill_missed t.k_mem victims key ~dirty:write);
+      now := !now + copy_page p
+    end
+  done;
+  settle_hits !run_start last_page;
   flush_pending ();
   finish_call env ~now:!now;
   match tele with
@@ -1017,6 +1051,14 @@ let vrelease env region ~first ~count =
     done;
   Engine.delay (noised t t.k_platform.Platform.syscall_overhead_ns)
 
+(* Each page's observed time is its raw cost (touch, or swap-in /
+   zero-fill plus victim writebacks, plus any interference) noised and
+   read through the timer.  The walk scans for hits with one policy
+   lookup per page and settles each run of them at once, when a miss or
+   the end of the range ends it: a hit's raw cost is [mem_touch_ns], so
+   its sample comes from a tick sampler prepared once per call.  Only
+   the missed pages take the per-page path.  The noise generator sees
+   the same draws in the same order. *)
 let touch_pages env region ~first ~count =
   if not region.r_live then invalid_arg "Kernel.touch_pages: region freed";
   if region.r_owner <> env.e_proc.p_pid then
@@ -1027,6 +1069,9 @@ let touch_pages env region ~first ~count =
   let t = env.e_k in
   let plat = t.k_platform in
   let resolution = timer_resolution t in
+  let sigma = plat.Platform.noise_sigma in
+  let touch = plat.Platform.mem_touch_ns in
+  let hit_tick = Gray_util.Rng.tick ~sigma ~res:resolution touch in
   let tele = Tele.active () in
   let t0 = Engine.now t.k_engine in
   let now = ref t0 in
@@ -1034,48 +1079,71 @@ let touch_pages env region ~first ~count =
   let base_vpn = region.r_start_vpn + first in
   let owner = region.r_owner in
   let st = env.e_acct in
-  let before = ref !now in
-  Memory.access_run t.k_mem ~n:count
-    ~key:(fun i -> Page.Anon { pid = owner; vpn = base_vpn + i })
-    ~dirty:true
-    ~on_hit:(fun _ _ ->
-      acct_hit env;
-      before := !now;
-      now := !now + plat.Platform.mem_touch_ns)
-    ~on_miss:(fun i key ->
+  let pool = Memory.anon_pool t.k_mem in
+  let victims =
+    Memory.victims t.k_mem (fun k ~dirty -> now := writeback_victim env ~now:!now k ~dirty)
+  in
+  (* Background interference steals time mid-touch; the stolen time is
+     real (advances the clock) and visible in the observed sample —
+     exactly what fools a naive timing-based paging detector. *)
+  let sample ~before =
+    (match t.k_faults with
+    | None -> ()
+    | Some f -> now := !now + Fault.extra_latency f ~now:!now);
+    let raw = !now - before in
+    if raw = touch then Gray_util.Rng.sample_tick t.k_noise hit_tick
+    else Gray_util.Rng.lognormal_tick t.k_noise ~sigma ~res:resolution raw
+  in
+  let settle_hits a b =
+    if a <= b then begin
+      st.Account.hits <- st.Account.hits + (b - a + 1);
+      match t.k_faults with
+      | None ->
+        for j = a to b do
+          results.(j) <- Gray_util.Rng.sample_tick t.k_noise hit_tick
+        done;
+        now := !now + ((b - a + 1) * touch)
+      | Some _ ->
+        for j = a to b do
+          let before = !now in
+          now := !now + touch;
+          results.(j) <- sample ~before
+        done
+    end
+  in
+  let run_start = ref 0 in
+  for j = 0 to count - 1 do
+    let key = Page.Anon { pid = owner; vpn = base_vpn + j } in
+    if not (Pool.try_hit pool key ~dirty:true) then begin
+      settle_hits !run_start (j - 1);
+      run_start := j + 1;
       acct_miss env;
-      before := !now;
-      if Page.Tbl.mem t.k_swapped key then begin
-        let slot =
-          ((owner * 1_000_003) + (base_vpn + i)) mod Disk.capacity_blocks t.k_swap
-        in
-        let d = Disk.access t.k_swap ~now:!now ~start_block:slot ~nblocks:1 in
-        now := !now + d;
-        Page.Tbl.remove t.k_swapped key;
-        st.Account.page_ins <- st.Account.page_ins + 1;
-        st.Account.block_ns <- st.Account.block_ns + d;
-        match tele with
-        | None -> ()
-        | Some s -> Tele.point s "simos.kernel.page_in" ~spid:(pid env)
-      end
-      else begin
-        now := !now + plat.Platform.page_alloc_zero_ns;
-        st.Account.zero_fills <- st.Account.zero_fills + 1;
-        match tele with
-        | None -> ()
-        | Some s -> Tele.point s "simos.kernel.zero_fill" ~spid:(pid env)
-      end)
-    ~on_evict:(fun k ~dirty -> now := writeback_victim env ~now:!now k ~dirty)
-    ~on_page_end:(fun i ~evicted ->
-      note_evictions env ~n:evicted;
-      (* Background interference steals time mid-touch; the stolen time is
-         real (advances the clock) and visible in the observed sample —
-         exactly what fools a naive timing-based paging detector. *)
-      (match t.k_faults with
-      | None -> ()
-      | Some f -> now := !now + Fault.extra_latency f ~now:!now);
-      let raw = !now - !before in
-      results.(i) <- max resolution (quantise resolution (noised t raw)));
+      let before = !now in
+      (if Page.Tbl.mem t.k_swapped key then begin
+         let slot =
+           ((owner * 1_000_003) + (base_vpn + j)) mod Disk.capacity_blocks t.k_swap
+         in
+         let d = Disk.access t.k_swap ~now:!now ~start_block:slot ~nblocks:1 in
+         now := !now + d;
+         Page.Tbl.remove t.k_swapped key;
+         st.Account.page_ins <- st.Account.page_ins + 1;
+         st.Account.block_ns <- st.Account.block_ns + d;
+         match tele with
+         | None -> ()
+         | Some s -> Tele.point s "simos.kernel.page_in" ~spid:(pid env)
+       end
+       else begin
+         now := !now + plat.Platform.page_alloc_zero_ns;
+         st.Account.zero_fills <- st.Account.zero_fills + 1;
+         match tele with
+         | None -> ()
+         | Some s -> Tele.point s "simos.kernel.zero_fill" ~spid:(pid env)
+       end);
+      note_evictions env tele ~n:(Memory.fill_missed t.k_mem victims key ~dirty:true);
+      results.(j) <- sample ~before
+    end
+  done;
+  settle_hits !run_start (count - 1);
   Engine.delay (!now - t0);
   (match tele with
   | None -> ()
@@ -1246,7 +1314,7 @@ let start_drift_daemon t =
                 ~on_evict:(fun k ~dirty ->
                   incr evicted;
                   now := writeback_victim env ~now:!now k ~dirty);
-              note_evictions env ~n:!evicted;
+              note_evictions env (Tele.active ()) ~n:!evicted;
               Drift.note_evictions d !evicted;
               (* shrink victims' writebacks are real time, like any fill *)
               Engine.delay (!now - t0)
@@ -1308,6 +1376,10 @@ let flush_file_cache t = Memory.drop_file_cache t.k_mem
 let drop_all_memory t =
   Memory.reset t.k_mem;
   Page.Tbl.reset t.k_swapped
+
+let noise t = t.k_noise
+let swap_table t = t.k_swapped
+let region_first_vpn region = region.r_start_vpn
 
 let live_procs t = Hashtbl.length t.k_procs
 

@@ -350,6 +350,15 @@ val global_ino : t -> volume:int -> ino:int -> int
 val swapped_pages : t -> pid:int -> int
 (** Anonymous pages of this process currently on the swap disk. *)
 
+val noise : t -> Gray_util.Rng.t
+(** The generator behind every noised cost and touch sample. *)
+
+val swap_table : t -> Page.Tbl.t
+(** The anonymous pages out on swap (values unused). *)
+
+val region_first_vpn : region -> int
+(** The virtual page number of the region's first page. *)
+
 val live_procs : t -> int
 (** Processes whose fiber has started and not yet cleaned up — crashed
     fibers must not linger here (their fds and memory are reclaimed on the

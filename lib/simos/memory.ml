@@ -68,18 +68,34 @@ let rebalance_into t ~on_evict =
 let rebalance t =
   rebalance_into t ~on_evict:(fun key ~dirty:_ -> bump t key (-1))
 
+(* ---- the page-loop primitives ---- *)
+
+type victims = Page.key -> dirty:bool -> unit
+
+let victims t on_evict k ~dirty =
+  bump t k (-1);
+  on_evict k ~dirty
+
+(* Every eviction is counted by its pool before the victim is handed
+   over, so the difference of the totals is the number of victims. *)
+let evictions t =
+  if t.unified then Pool.evictions t.file else Pool.evictions t.file + Pool.evictions t.anon
+
+let fill_missed t victims key ~dirty =
+  let before = evictions t in
+  Pool.fill (pool_for t key) key ~dirty ~on_evict:victims;
+  bump t key 1;
+  if Page.is_anon key then rebalance_into t ~on_evict:victims;
+  evictions t - before
+
 let access t key ~dirty =
-  let pool = pool_for t key in
-  if Pool.try_hit pool key ~dirty then `Hit
+  if Pool.try_hit (pool_for t key) key ~dirty then `Hit
   else begin
     let out = ref [] in
-    let on_evict k ~dirty =
-      bump t k (-1);
-      out := { Pool.key = k; dirty } :: !out
-    in
-    Pool.fill pool key ~dirty ~on_evict;
-    bump t key 1;
-    if Page.is_anon key then rebalance_into t ~on_evict;
+    ignore
+      (fill_missed t
+         (victims t (fun k ~dirty -> out := { Pool.key = k; dirty } :: !out))
+         key ~dirty);
     `Filled (List.rev !out)
   end
 
@@ -87,15 +103,8 @@ let access_run t ~n ~key ~dirty ~on_hit ~on_miss ~on_evict ~on_page_end =
   if n > 0 then begin
     (* One pool-routing decision for the whole run: kernel runs are
        homogeneous (a file extent or an anonymous page range). *)
-    let k0 = key 0 in
-    let anon = Page.is_anon k0 in
-    let pool = pool_for t k0 in
-    let nev = ref 0 in
-    let counting k ~dirty =
-      bump t k (-1);
-      incr nev;
-      on_evict k ~dirty
-    in
+    let pool = pool_for t (key 0) in
+    let victims = victims t on_evict in
     for i = 0 to n - 1 do
       let k = key i in
       if Pool.try_hit pool k ~dirty then begin
@@ -104,11 +113,7 @@ let access_run t ~n ~key ~dirty ~on_hit ~on_miss ~on_evict ~on_page_end =
       end
       else begin
         on_miss i k;
-        nev := 0;
-        Pool.fill pool k ~dirty ~on_evict:counting;
-        bump t k 1;
-        if anon then rebalance_into t ~on_evict:counting;
-        on_page_end i ~evicted:!nev
+        on_page_end i ~evicted:(fill_missed t victims k ~dirty)
       end
     done
   end

@@ -34,6 +34,25 @@ val create : usable_pages:int -> layout -> t
 val access : t -> Page.key -> dirty:bool -> [ `Hit | `Filled of Pool.evicted list ]
 (** Route the page to its pool (by key kind). *)
 
+(** {1 Page-loop primitives}
+
+    A walk over one extent looks each page up with {!Pool.try_hit} in
+    the extent's pool ({!file_pool} or {!anon_pool}) and inserts each
+    page that missed with {!fill_missed}.  {!access}, {!access_run} and
+    the kernel's page loops are all built from these two. *)
+
+type victims
+(** An eviction callback wrapped with the resident-count bookkeeping. *)
+
+val victims : t -> (Page.key -> dirty:bool -> unit) -> victims
+(** Wrap a victim callback; one allocation, reusable for every miss of a
+    walk. *)
+
+val fill_missed : t -> victims -> Page.key -> dirty:bool -> int
+(** Insert a page whose access just missed: pool victims first, then any
+    balanced-layout rebalance overflow, each through the callback.
+    Returns how many pages were evicted. *)
+
 val access_run :
   t ->
   n:int ->
@@ -50,7 +69,8 @@ val access_run :
     (before the insert), then the page's evictions — pool victims first,
     then any balanced-layout rebalance overflow — through [on_evict],
     then [on_page_end] with the eviction count.  Observably equivalent to
-    [n] {!access} calls, without the per-page list/option allocation. *)
+    [n] {!access} calls, without the per-page list/option allocation: a
+    per-key loop over {!Pool.try_hit} and {!fill_missed}. *)
 
 val contains : t -> Page.key -> bool
 val invalidate : t -> Page.key -> unit

@@ -77,26 +77,6 @@ let fill t key ~dirty ~on_evict =
   done;
   P.insert key ~dirty
 
-let access_run t ~n ~key ~dirty ~on_hit ~on_miss ~on_evict ~on_page_end =
-  let nev = ref 0 in
-  let counting k ~dirty =
-    incr nev;
-    on_evict k ~dirty
-  in
-  for i = 0 to n - 1 do
-    let k = key i in
-    if try_hit t k ~dirty then begin
-      on_hit i k;
-      on_page_end i ~evicted:0
-    end
-    else begin
-      on_miss i k;
-      nev := 0;
-      fill t k ~dirty ~on_evict:counting;
-      on_page_end i ~evicted:!nev
-    end
-  done
-
 (* ---- list-building compatibility path ---- *)
 
 let access t key ~dirty =

@@ -7,9 +7,9 @@
 
     Two API styles cover the same semantics: the list-building {!access}
     (one allocation-friendly result per page, convenient for tests and
-    cold paths) and the callback-based fast path ({!try_hit}/{!fill}/
-    {!access_run}) that the kernel's page loops use.  The differential
-    suite [test_pool_equiv] holds them observably identical. *)
+    cold paths) and the fast path ({!try_hit}/{!fill}) that the
+    kernel's page loops use.  The differential suite
+    [test_pool_equiv] holds them observably identical. *)
 
 type t
 
@@ -39,11 +39,12 @@ val access : t -> Page.key -> dirty:bool -> [ `Hit | `Filled of evicted list ]
 
 (** {1 Batched fast path}
 
-    The run API classifies each page of a contiguous run as hit or miss in
-    a single policy lookup and streams evictions through callbacks, so the
-    hot loop performs no list or option allocation.  Per-page observable
-    behaviour (hit/miss counters, eviction order, dirty bits) is identical
-    to calling {!access} page by page. *)
+    A walk over a contiguous run looks each page up once with
+    {!try_hit} and inserts each page that missed with {!fill},
+    streaming evictions through a callback, so the hot loop performs no
+    list or option allocation.  Per-page observable behaviour (hit/miss
+    counters, eviction order, dirty bits) is identical to calling
+    {!access} page by page. *)
 
 val try_hit : t -> Page.key -> dirty:bool -> bool
 (** One-lookup access: on a hit, count it, touch the policy, OR in the
@@ -54,22 +55,6 @@ val try_hit : t -> Page.key -> dirty:bool -> bool
 val fill : t -> Page.key -> dirty:bool -> on_evict:(Page.key -> dirty:bool -> unit) -> unit
 (** Insert a key that {!try_hit} just missed, evicting while the pool is
     at capacity; victims stream through [on_evict] in eviction order. *)
-
-val access_run :
-  t ->
-  n:int ->
-  key:(int -> Page.key) ->
-  dirty:bool ->
-  on_hit:(int -> Page.key -> unit) ->
-  on_miss:(int -> Page.key -> unit) ->
-  on_evict:(Page.key -> dirty:bool -> unit) ->
-  on_page_end:(int -> evicted:int -> unit) ->
-  unit
-(** Access pages [key 0 .. key (n-1)] in order.  Per page: exactly one of
-    [on_hit]/[on_miss] fires first ([on_miss] before the insert and its
-    evictions, matching the per-page path), then the page's evictions
-    stream through [on_evict], then [on_page_end] reports how many there
-    were.  Equivalent to [n] calls of {!access}. *)
 
 val evict_one : t -> evicted option
 (** Force one eviction (page-daemon style), if any page is resident. *)

@@ -1,8 +1,8 @@
 (* Differential equivalence of the batched run API against the per-page
    path.
 
-   The batched fast path (Pool.access_run / Memory.access_run) exists
-   purely for speed: every observable — hit/miss classification, victim
+   The batched fast path (Pool.try_hit + Pool.fill, Memory.access_run)
+   exists purely for speed: every observable — hit/miss classification, victim
    sequence and dirty bits, counters, resident sets, and (at the kernel
    level) the per-page noise-draw alignment — must match the per-page
    path exactly.  These properties drive both paths with the same
@@ -92,31 +92,24 @@ let pool_per_page b p = function
     | None -> Printf.bprintf b "e0;"
     | Some e -> log_victim b e.Pool.key ~dirty:e.Pool.dirty)
 
-(* Batched: the run/callback API for the same trace.  The per-page path
-   logs an eviction count after each miss; reconstruct the same line from
-   the callbacks (and cross-check it against [on_page_end]'s count) so
-   the two logs stay literally comparable. *)
+(* Batched: one [try_hit] per page and, for each page that missed, a
+   [fill] that streams its victims through a callback, for the same
+   trace.  The per-page path logs an eviction count after each miss;
+   count the callbacks to write the same line. *)
 let pool_batched b p op =
   match op with
   | Run { start; len; dirty } ->
-    let nev = ref 0 and missed = ref false in
-    Pool.access_run p ~n:len
-      ~key:(fun i -> fkey (start + i))
-      ~dirty
-      ~on_hit:(fun i _ -> Printf.bprintf b "H(%d);" (start + i))
-      ~on_miss:(fun i _ ->
-        missed := true;
-        nev := 0;
-        Printf.bprintf b "M(%d);" (start + i))
-      ~on_evict:(fun key ~dirty ->
-        incr nev;
-        log_victim b key ~dirty)
-      ~on_page_end:(fun _ ~evicted ->
-        if !missed then begin
-          Printf.bprintf b "n=%d;" evicted;
-          if evicted <> !nev then Printf.bprintf b "COUNT-MISMATCH;";
-          missed := false
-        end)
+    for i = start to start + len - 1 do
+      if Pool.try_hit p (fkey i) ~dirty then Printf.bprintf b "H(%d);" i
+      else begin
+        Printf.bprintf b "M(%d);" i;
+        let nev = ref 0 in
+        Pool.fill p (fkey i) ~dirty ~on_evict:(fun key ~dirty ->
+            incr nev;
+            log_victim b key ~dirty);
+        Printf.bprintf b "n=%d;" !nev
+      end
+    done
   | Inval i -> Pool.invalidate p (fkey i)
   | Inval_mod m ->
     let n =
@@ -193,16 +186,23 @@ let mem_per_page b rng ~sigma m ops =
       done)
     ops
 
+(* [on_page_end]'s eviction count is checked against the victims the
+   page streamed; a mismatch shows in the log. *)
 let mem_batched b rng ~sigma m ops =
   List.iter
     (fun (is_file, start, len, dirty) ->
+      let nev = ref 0 in
       Memory.access_run m ~n:len
         ~key:(fun i -> mem_key is_file (start + i))
         ~dirty
         ~on_hit:(fun _ key -> Printf.bprintf b "H(%s);" (Page.to_string key))
         ~on_miss:(fun _ key -> Printf.bprintf b "M(%s);" (Page.to_string key))
-        ~on_evict:(log_victim b)
-        ~on_page_end:(fun _ ~evicted:_ ->
+        ~on_evict:(fun key ~dirty ->
+          incr nev;
+          log_victim b key ~dirty)
+        ~on_page_end:(fun _ ~evicted ->
+          if evicted <> !nev then Printf.bprintf b "COUNT-MISMATCH;";
+          nev := 0;
           if sigma > 0.0 then
             Printf.bprintf b "noise=%h;" (Gray_util.Dist.lognormal_factor rng ~sigma)))
     ops

@@ -98,6 +98,99 @@ let test_choose () =
     Alcotest.(check bool) "member" true (Array.mem x arr)
   done
 
+(* ---- the tick sampler ---- *)
+
+(* The kernel's touch sample, literally: [max res (quantise res (noised
+   raw))] over the lognormal factor. *)
+let quantise res ns = if res <= 1 then ns else ns / res * res
+
+let noised rng ~sigma ns =
+  if sigma = 0.0 || ns = 0 then ns
+  else max 0 (int_of_float (float_of_int ns *. Dist.lognormal_factor rng ~sigma))
+
+let reference rng ~sigma ~res raw = max res (quantise res (noised rng ~sigma raw))
+
+let sigmas = [| 0.0; 0.05; 0.5; 2.0 |]
+let resolutions = [| 1; 100; 1000 |]
+
+let raws res =
+  [| 0; 1; res - 1; res; res + (res / 2); (2 * res) - 1; 2 * res; 9000 |]
+
+let tick_case_gen =
+  QCheck2.Gen.(
+    map
+      (fun (((s, r), w), (seed, n)) -> (sigmas.(s), resolutions.(r), w, seed, n))
+      (pair
+         (pair (pair (int_bound 3) (int_bound 2)) (int_bound 7))
+         (pair (int_bound 100_000) (int_range 1 400))))
+
+let print_tick_case (sigma, res, w, seed, n) =
+  Printf.sprintf "sigma=%g res=%d raw=%d seed=%d n=%d" sigma res (raws res).(w) seed n
+
+(* Every sample equals the reference's, and both generators end in the
+   same state: the shortcut draws the same two uniforms. *)
+let prop_tick_sampler =
+  QCheck2.Test.make ~name:"tick sampler = max res (quantise res (noised raw))" ~count:500
+    ~print:print_tick_case tick_case_gen (fun (sigma, res, w, seed, n) ->
+      let raw = (raws res).(w) in
+      let tk = Rng.tick ~sigma ~res raw in
+      let a = Rng.create ~seed and b = Rng.create ~seed in
+      let same = ref true in
+      for _ = 1 to n do
+        let x = Rng.sample_tick a tk and y = reference b ~sigma ~res raw in
+        if x <> y then same := false
+      done;
+      !same
+      && Rng.bits64 a = Rng.bits64 b
+      && Rng.lognormal_tick a ~sigma ~res raw = reference b ~sigma ~res raw
+      && Rng.bits64 a = Rng.bits64 b)
+
+(* At the smallest first uniform the shortcut takes, the extreme factors
+   (cos = 1 and cos = -1) must still land well inside the tick's cell —
+   by a relative 1e-10, far above the formula's rounding error.  A bound
+   taken without a margin lands on the cell edge and fails this. *)
+let test_tick_bound_margin () =
+  Array.iter
+    (fun sigma ->
+      Array.iter
+        (fun res ->
+          Array.iter
+            (fun raw ->
+              let tk = Rng.tick ~sigma ~res raw in
+              let b = Rng.tick_bound tk and v = Rng.tick_value tk in
+              let name = Printf.sprintf "sigma=%g res=%d raw=%d" sigma res raw in
+              if sigma = 0.0 || raw = 0 then
+                Alcotest.(check int) (name ^ ": noiseless tick") (reference (Rng.create ~seed:1) ~sigma ~res raw) v
+              else if b < 1.0 then begin
+                let q = if res <= 1 then 1 else res in
+                let lo, hi = if v = res then (0, 2 * q) else (v, v + q) in
+                let u1 = Float.succ b in
+                let mu = -.(sigma *. sigma) /. 2.0 in
+                let r = sqrt (-2.0 *. log u1) in
+                let rawf = float_of_int raw in
+                let x_hi = rawf *. exp (mu +. (Float.abs sigma *. r)) in
+                let x_lo = rawf *. exp (mu -. (Float.abs sigma *. r)) in
+                Alcotest.(check bool)
+                  (name ^ ": top of the range below the cell's end")
+                  true
+                  (x_hi < float_of_int hi *. (1.0 -. 1e-10));
+                Alcotest.(check bool)
+                  (name ^ ": bottom of the range above the cell's start")
+                  true
+                  (lo = 0 || x_lo > float_of_int lo *. (1.0 +. 1e-10))
+              end)
+            (raws res))
+        resolutions)
+    sigmas
+
+(* The paper's case — a 150 ns touch through a 100 ns timer at sigma
+   0.05 — leaves the 100 ns tick only past a factor of 4/3, 5.8 sigma
+   out: the shortcut misses about one first uniform in 18 million. *)
+let test_tick_shortcut_common () =
+  let tk = Rng.tick ~sigma:0.05 ~res:100 150 in
+  Alcotest.(check int) "median tick" 100 (Rng.tick_value tk);
+  Alcotest.(check bool) "bound below 1e-7" true (Rng.tick_bound tk < 1e-7)
+
 let suite =
   [
     Alcotest.test_case "determinism" `Quick test_determinism;
@@ -112,4 +205,7 @@ let suite =
     Alcotest.test_case "copy replays" `Quick test_copy_replays;
     Alcotest.test_case "shuffle permutes" `Quick test_shuffle_permutes;
     Alcotest.test_case "choose membership" `Quick test_choose;
+    QCheck_alcotest.to_alcotest prop_tick_sampler;
+    Alcotest.test_case "tick bound keeps a margin" `Quick test_tick_bound_margin;
+    Alcotest.test_case "tick shortcut is the common case" `Quick test_tick_shortcut_common;
   ]
