@@ -25,6 +25,32 @@ open Graybox_core
 
 let mib = 1024 * 1024
 
+let probe_config ~seed =
+  { (Fccd.default_config ~seed ()) with Fccd.access_unit = 4 * mib; prediction_unit = 1 * mib }
+
+(* Warm only files that exist: extras may be ghosts and must not eat warm
+   slots either. *)
+let warm_set ~seed ~warm made =
+  let arr = Array.of_list made in
+  Gray_util.Rng.shuffle (Gray_util.Rng.create ~seed:(seed + 1)) arr;
+  Array.to_list (Array.sub arr 0 (min warm (Array.length arr)))
+
+let basenames paths = String.concat ", " (List.map Fldc.basename (List.sort compare paths))
+
+(* A degraded gbp keeps the pipeline alive — the caller's own argument
+   order passes through — but reports why on stderr and, for kernel
+   errors, through a distinct exit code (the result). *)
+let print_ordering ~header (ordered, reason) =
+  Option.iter
+    (fun r ->
+      Printf.eprintf "gbp: %s; falling back to argument order\n"
+        (Gbp.fallback_reason_to_string r))
+    reason;
+  Printf.printf "# %s ordering%s:\n" header
+    (match reason with Some _ -> " (fallback: argument order)" | None -> "");
+  List.iter print_endline ordered;
+  match reason with Some (Gbp.Degraded_error e) -> Gbp.exit_code_of_error e | _ -> 0
+
 let run_sim mode files size_mib warm out noise seed fault_scenario crash_at extra
     min_confidence trace metrics drift_scenario adaptive rounds recal_budget
     flight_dump =
@@ -57,25 +83,11 @@ let run_sim mode files size_mib warm out noise seed fault_scenario crash_at extr
       in
       let paths = made @ extra in
       Kernel.flush_file_cache k;
-      let rng = Gray_util.Rng.create ~seed:(seed + 1) in
-      (* warm only files that exist: extras may be ghosts and must not eat
-         warm slots either *)
-      let warmed =
-        let arr = Array.of_list made in
-        Gray_util.Rng.shuffle rng arr;
-        Array.to_list (Array.sub arr 0 (min warm files))
-      in
+      let warmed = warm_set ~seed ~warm made in
       List.iter (fun p -> Gray_apps.Workload.read_file env p) warmed;
       Printf.printf "# volume: %d files x %d MB on %s; warmed: %s\n" files size_mib
-        platform.Platform.name
-        (String.concat ", " (List.map Fldc.basename (List.sort compare warmed)));
-      let config =
-        {
-          (Fccd.default_config ~seed ()) with
-          Fccd.access_unit = 4 * mib;
-          prediction_unit = 1 * mib;
-        }
-      in
+        platform.Platform.name (basenames warmed);
+      let config = probe_config ~seed in
       if adaptive then begin
         (* self-healing FCCD ordering: re-order [rounds] times, two
            virtual seconds apart, spot-checking the ranking's health
@@ -113,25 +125,11 @@ let run_sim mode files size_mib warm out noise seed fault_scenario crash_at extr
           in
           go 0
       end
-      else begin
-        let ordered, reason =
-          Gbp.best_order_or_fallback env config ~min_confidence mode ~paths
-        in
-        (* a degraded gbp keeps the pipeline alive — the caller's own
-           argument order passes through — but reports why on stderr and,
-           for kernel errors, through a distinct exit code *)
-        (match reason with
-        | None -> ()
-        | Some r ->
-          Printf.eprintf "gbp: %s; falling back to argument order\n"
-            (Gbp.fallback_reason_to_string r);
-          (match r with
-          | Gbp.Degraded_error e -> exit_code := Gbp.exit_code_of_error e
-          | Gbp.Low_confidence _ -> ()));
-        Printf.printf "# gbp --mode %s ordering%s:\n" (Gbp.mode_to_string mode)
-          (match reason with Some _ -> " (fallback: argument order)" | None -> "");
-        List.iter print_endline ordered
-      end;
+      else
+        exit_code :=
+          print_ordering
+            ~header:("gbp --mode " ^ Gbp.mode_to_string mode)
+            (Gbp.best_order_or_fallback env config ~min_confidence mode ~paths);
       if out then begin
         match paths with
         | [] -> ()
@@ -210,14 +208,14 @@ let run_sim mode files size_mib warm out noise seed fault_scenario crash_at extr
 
 (* The same pipeline against the real OS through Os_host: build the file
    population in a scratch directory under the system temp dir, warm a
-   subset for real, order by timed probes (mem) or inode numbers (file),
-   and clean everything up on the way out — whatever happened.  Compose
-   needs the simulator's cost model, so it reports host-unavailable (12)
-   rather than pretending. *)
+   subset for real, order it through the same Gbp.Make path as the sim,
+   and clean everything up on the way out — whatever happened.  Compose's
+   cache/disk split is tuned to the simulator's cost model, so it reports
+   host-unavailable (12) rather than pretending. *)
 let run_host mode files size_mib warm out seed extra min_confidence =
   let module W = Gray_apps.Workload.Make (Os_host) in
   let module F = Fccd.Make (Os_host) in
-  let module L = Fldc.Make (Os_host) in
+  let module G = Gbp.Make (Os_host) in
   let rec rm_rf path =
     match (try Some (Sys.is_directory path) with Sys_error _ -> None) with
     | None -> ()
@@ -246,73 +244,31 @@ let run_host mode files size_mib warm out seed extra min_confidence =
           rm_rf root)
         (fun () ->
           try
-            match mode with
-            | Gbp.Compose ->
+            if mode = Gbp.Compose then begin
               Printf.eprintf
                 "gbp: --mode compose needs the simulator's cost model and is \
                  not available on the host backend\n";
               exit_code := Gbp.exit_host_unavailable
-            | Gbp.Mem | Gbp.File ->
+            end
+            else begin
               let made =
                 W.make_files env ~dir:"/data" ~prefix:"file" ~count:files
                   ~size:(size_mib * mib)
               in
               let paths = made @ extra in
-              let rng = Gray_util.Rng.create ~seed:(seed + 1) in
-              let warmed =
-                let arr = Array.of_list made in
-                Gray_util.Rng.shuffle rng arr;
-                Array.to_list (Array.sub arr 0 (min warm files))
-              in
+              let warmed = warm_set ~seed ~warm made in
               List.iter (fun p -> W.read_file env p) warmed;
               Printf.printf
                 "# volume: %d files x %d MB on host (timer %d ns, confidence cap %.2f); warmed: %s\n"
                 files size_mib
                 (Os_host.timer_resolution_ns env)
                 (Os_host.timing_confidence_cap env)
-                (String.concat ", " (List.map Fldc.basename (List.sort compare warmed)));
-              let config =
-                {
-                  (Fccd.default_config ~seed ()) with
-                  Fccd.access_unit = 4 * mib;
-                  prediction_unit = 1 * mib;
-                }
-              in
-              let ordered, reason =
-                match mode with
-                | Gbp.Compose -> assert false
-                | Gbp.Mem -> (
-                  match F.order_files env config ~paths with
-                  | Error e -> (paths, Some (Gbp.Degraded_error e))
-                  | Ok ranked ->
-                    let conf =
-                      (* a coarse host timer bounds how much the ranking
-                         may be believed, exactly as in probe plans *)
-                      Float.min
-                        (Os_host.timing_confidence_cap env)
-                        (Fccd.order_confidence config ranked)
-                    in
-                    if conf < min_confidence then
-                      (paths, Some (Gbp.Low_confidence conf))
-                    else (List.map (fun r -> r.Fccd.fr_path) ranked, None))
-                | Gbp.File -> (
-                  match L.order_by_inumber env ~paths with
-                  | Error e -> (paths, Some (Gbp.Degraded_error e))
-                  | Ok ordered ->
-                    (List.map (fun s -> s.Fldc.so_path) ordered, None))
-              in
-              (match reason with
-              | None -> ()
-              | Some r ->
-                Printf.eprintf "gbp: %s; falling back to argument order\n"
-                  (Gbp.fallback_reason_to_string r);
-                match r with
-                | Gbp.Degraded_error e -> exit_code := Gbp.exit_code_of_error e
-                | Gbp.Low_confidence _ -> ());
-              Printf.printf "# gbp --os host --mode %s ordering%s:\n"
-                (Gbp.mode_to_string mode)
-                (match reason with Some _ -> " (fallback: argument order)" | None -> "");
-              List.iter print_endline ordered;
+                (basenames warmed);
+              let config = probe_config ~seed in
+              exit_code :=
+                print_ordering
+                  ~header:("gbp --os host --mode " ^ Gbp.mode_to_string mode)
+                  (G.best_order_or_fallback env config ~min_confidence mode ~paths);
               if out then begin
                 match paths with
                 | [] -> ()
@@ -334,6 +290,7 @@ let run_host mode files size_mib warm out seed extra min_confidence =
                           Printf.printf "  offset=%-10d length=%d\n" off len);
                       Os_host.close env fd))
               end
+            end
           with Failure msg ->
             (* a workload helper hit a permanent syscall error: report it
                like any other degraded pipeline instead of dying raw *)
@@ -369,25 +326,34 @@ let mode_conv =
   in
   Arg.conv (parse, fun ppf m -> Format.pp_print_string ppf (Gbp.mode_to_string m))
 
-let fault_conv =
+(* A scenario flag takes exactly its GRAYBOX_* variable's grammar: the
+   plane parses it and its message is the usage error. *)
+let scenario_conv of_string name =
   let parse s =
-    match String.lowercase_ascii s with
-    | "" | "none" -> Ok None
-    | "canonical" -> Ok (Some Fault.canonical)
-    | "heavy" -> Ok (Some Fault.heavy)
-    | s -> (
-      match float_of_string_opt s with
-      | Some i when i >= 0.0 -> Ok (Some (Fault.of_intensity ~intensity:i ()))
-      | Some _ -> Error (`Msg "fault intensity must be non-negative")
-      | None ->
-        Error (`Msg ("unknown fault scenario: " ^ s
-                     ^ " (expected none, canonical, heavy or an intensity)")))
+    match of_string s with
+    | sc -> Ok sc
+    | exception Invalid_argument msg -> Error (`Msg msg)
   in
-  let print ppf = function
-    | None -> Format.pp_print_string ppf "none"
-    | Some sc -> Format.pp_print_string ppf sc.Fault.sc_name
+  let print ppf sc =
+    Format.pp_print_string ppf (match sc with None -> "none" | Some sc -> name sc)
   in
   Arg.conv (parse, print)
+
+let fault_conv = scenario_conv Fault.of_string (fun sc -> sc.Fault.sc_name)
+let drift_conv = scenario_conv Drift.of_string (fun sc -> sc.Drift.dr_name)
+
+(* Counts, sizes, budgets and sigmas: a negative value is a usage error,
+   not an uncaught exception deep in the pipeline. *)
+let non_negative conv zero =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when v >= zero -> Ok v
+    | Ok _ -> Error (`Msg ("must be non-negative: " ^ s))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let count = non_negative Arg.int 0
 
 let crash_at_conv =
   let parse s =
@@ -426,11 +392,12 @@ let os_arg =
 let mode_arg =
   Arg.(value & opt mode_conv Gbp.Mem & info [ "mode"; "m" ] ~doc:"Ordering mode: mem, file or compose.")
 
-let files_arg = Arg.(value & opt int 12 & info [ "files"; "n" ] ~doc:"Number of files.")
-let size_arg = Arg.(value & opt int 4 & info [ "size" ] ~doc:"File size in MB.")
-let warm_arg = Arg.(value & opt int 4 & info [ "warm" ] ~doc:"How many files to pre-warm.")
+let files_arg = Arg.(value & opt count 12 & info [ "files"; "n" ] ~doc:"Number of files.")
+let size_arg = Arg.(value & opt count 4 & info [ "size" ] ~doc:"File size in MB.")
+let warm_arg = Arg.(value & opt count 4 & info [ "warm" ] ~doc:"How many files to pre-warm.")
 let out_arg = Arg.(value & flag & info [ "out" ] ~doc:"Also stream the first file (-out mode).")
-let noise_arg = Arg.(value & opt float 0.05 & info [ "noise" ] ~doc:"Timing noise sigma.")
+let noise_arg =
+  Arg.(value & opt (non_negative float 0.0) 0.05 & info [ "noise" ] ~doc:"Timing noise sigma.")
 let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Simulation seed.")
 
 let faults_arg =
@@ -476,21 +443,6 @@ let metrics_arg =
     value & flag
     & info [ "metrics" ] ~doc:"Print the run's telemetry metrics as JSON on stdout.")
 
-let drift_conv =
-  let parse s =
-    match Drift.of_string s with
-    | sc -> Ok sc
-    | exception Invalid_argument _ ->
-      Error
-        (`Msg ("unknown drift scenario: " ^ s
-               ^ " (expected none, quiet, canonical or heavy)"))
-  in
-  let print ppf = function
-    | None -> Format.pp_print_string ppf "none"
-    | Some sc -> Format.pp_print_string ppf sc.Drift.dr_name
-  in
-  Arg.conv (parse, print)
-
 let drift_arg =
   Arg.(
     value & opt drift_conv None
@@ -513,7 +465,7 @@ let adaptive_arg =
 
 let rounds_arg =
   Arg.(
-    value & opt int 1
+    value & opt count 1
     & info [ "rounds" ]
         ~doc:"How many adaptive ordering rounds to run (2 s of virtual time apart).")
 
@@ -531,7 +483,7 @@ let flight_dump_arg =
 
 let recal_budget_arg =
   Arg.(
-    value & opt int 8
+    value & opt count 8
     & info [ "recal-budget" ]
         ~doc:"Re-calibration budget for --adaptive (0 = fail stale immediately).")
 

@@ -54,29 +54,7 @@ end
 
 (** {1 The simulated-backend instance (the historical flat API)} *)
 
-val write_file : Simos.Kernel.env -> string -> int -> unit
-val read_file : Simos.Kernel.env -> string -> unit
-val read_file_in_units : Simos.Kernel.env -> string -> unit_bytes:int -> unit
-val read_prefix : Simos.Kernel.env -> string -> bytes:int -> unit
-
-val make_files :
-  Simos.Kernel.env ->
-  dir:string ->
-  prefix:string ->
-  count:int ->
-  size:int ->
-  string list
-
-val age_directory :
-  Simos.Kernel.env ->
-  Gray_util.Rng.t ->
-  dir:string ->
-  deletes:int ->
-  creates:int ->
-  size:int ->
-  unit
-
-val paths_in : Simos.Kernel.env -> dir:string -> string list
+include module type of struct include Make (Graybox_core.Os_sim) end
 
 (** {1 Fleet profiles}
 

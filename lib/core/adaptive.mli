@@ -153,37 +153,4 @@ end
 
 (** {1 The simulated-backend instance (the historical flat API)} *)
 
-type mac = Make(Os_sim).mac
-
-val mac :
-  ?config:config -> Simos.Kernel.env -> mac_config:Mac.config -> mac
-
-val mac_threshold_ns : mac -> int
-val mac_watchdog : mac -> watchdog
-
-val mac_alloc :
-  Simos.Kernel.env ->
-  mac ->
-  min:int ->
-  max:int ->
-  multiple:int ->
-  (Mac.allocation option, [ `Stale_budget_exhausted ]) result
-
-type fccd = Make(Os_sim).fccd
-
-val fccd :
-  ?config:config ->
-  Simos.Kernel.env ->
-  fccd_config:Fccd.config ->
-  paths:string list ->
-  (fccd, Simos.Kernel.error) result
-
-val fccd_watchdog : fccd -> watchdog
-val fccd_estimates : fccd -> (string * float) list
-
-val fccd_order :
-  Simos.Kernel.env ->
-  fccd ->
-  (string list,
-   [ `Kernel of Simos.Kernel.error | `Stale_budget_exhausted ])
-  result
+include module type of struct include Make (Os_sim) end

@@ -15,12 +15,18 @@ type decision = {
   d_separation : float;  (** cluster mean ratio; ~1 means "all on disk" *)
 }
 
-val order_files :
-  Simos.Kernel.env ->
-  Fccd.config ->
-  ?min_separation:float ->
-  string list ->
-  (decision, Simos.Kernel.error) result
-(** [min_separation] (default 4.0): below this ratio the split is treated
-    as spurious — e.g. every file actually on disk — and all files fall in
-    the on-disk group, ordered purely by i-number. *)
+(** The composition over any {!Os_intf.S} backend. *)
+module Make (Os : Os_intf.S) : sig
+  val order_files :
+    Os.env ->
+    Fccd.config ->
+    ?min_separation:float ->
+    string list ->
+    (decision, Simos.Kernel.error) result
+  (** [min_separation] (default 4.0): below this ratio the split is
+      treated as spurious — e.g. every file actually on disk — and all
+      files fall in the on-disk group, ordered purely by i-number. *)
+end
+
+(** The simulated-backend instance (the historical flat API). *)
+include module type of struct include Make (Os_sim) end

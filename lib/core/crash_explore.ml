@@ -152,36 +152,40 @@ let broken_repair env ~parent =
 
 (* ---- workload runners ---- *)
 
-(* One run of the refresh workload: setup, sync, then — with the plane
-   optionally armed [n] boundaries into the window — the refresh itself.
-   The fsck checkpoint is taken at the end of setup: every boundary run
-   replays the byte-identical setup, and the baseline verified that
-   state passes the full fsck, so the incremental checker's contract
-   holds for everything the window (and the crash rollback, and the
-   repair) touches after it.  Returns the kernel (for post-mortem
-   inspection), the syscall window, the checkpoint, and whether the
-   machine crashed. *)
-let run_refresh ~seed ~files ~file_size ~arm =
+(* One run of a workload: setup, then — with the plane optionally armed
+   [n] boundaries into the window — the window body itself.  The fsck
+   checkpoint is taken at the end of setup: every boundary run replays
+   the byte-identical setup, and the baseline verified that state passes
+   the full fsck, so the incremental checker's contract holds for
+   everything the window (and the crash rollback, and the repair)
+   touches after it.  Returns the kernel (for post-mortem inspection),
+   the syscall window, the checkpoint, and whether the machine
+   crashed. *)
+let run_window ~name ~seed ~files ~file_size ~arm window =
   let k = boot ~seed in
   let c = Option.get (Kernel.crash_plane k) in
-  let window = ref (0, 0) in
+  let span = ref (0, 0) in
   let cp = ref None in
-  Kernel.spawn k ~name:"refresh" (fun env ->
+  Kernel.spawn k ~name (fun env ->
       setup env ~files ~file_size;
       cp := Some (Fs.checkpoint (Kernel.volume_fs k 0));
       let s0 = Crash.syscalls c in
       (match arm with Some n -> Crash.arm_at c n | None -> ());
-      (match Fldc.refresh_directory env ~dir () with
-      | Ok () -> ()
-      | Error e -> failwith ("Crash_explore: refresh: " ^ Kernel.error_to_string e));
-      window := (s0, Crash.syscalls c));
+      window env;
+      span := (s0, Crash.syscalls c));
   let crashed =
     try
       Kernel.run k;
       false
     with Engine.Fiber_crash (_, Crash.Crashed) -> true
   in
-  (k, !window, !cp, crashed)
+  (k, !span, !cp, crashed)
+
+let run_refresh ~seed ~files ~file_size ~arm =
+  run_window ~name:"refresh" ~seed ~files ~file_size ~arm (fun env ->
+      match Fldc.refresh_directory env ~dir () with
+      | Ok () -> ()
+      | Error e -> failwith ("Crash_explore: refresh: " ^ Kernel.error_to_string e))
 
 (* {1 MAC / gbp pipeline} *)
 
@@ -220,24 +224,8 @@ let pipeline_window env ~files ~fccd =
    independent.  Fresh-per-run, every boundary replays the baseline's
    exact sequence. *)
 let run_pipeline ~seed ~files ~file_size ~arm =
-  let k = boot ~seed in
-  let c = Option.get (Kernel.crash_plane k) in
-  let window = ref (0, 0) in
-  let cp = ref None in
-  Kernel.spawn k ~name:"pipeline" (fun env ->
-      setup env ~files ~file_size;
-      cp := Some (Fs.checkpoint (Kernel.volume_fs k 0));
-      let s0 = Crash.syscalls c in
-      (match arm with Some n -> Crash.arm_at c n | None -> ());
-      pipeline_window env ~files ~fccd:(Fccd.default_config ~seed ());
-      window := (s0, Crash.syscalls c));
-  let crashed =
-    try
-      Kernel.run k;
-      false
-    with Engine.Fiber_crash (_, Crash.Crashed) -> true
-  in
-  (k, !window, !cp, crashed)
+  run_window ~name:"pipeline" ~seed ~files ~file_size ~arm (fun env ->
+      pipeline_window env ~files ~fccd:(Fccd.default_config ~seed ()))
 
 (* ---- baselines ---- *)
 

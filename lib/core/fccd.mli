@@ -65,9 +65,8 @@ type file_rank = { fr_path : string; fr_probe_ns : int; fr_size : int }
 
 val order_confidence : config -> file_rank list -> float
 (** Confidence in a {!Make.order_files} ranking, in [0, 1] (same
-    clustering metric as [plan_confidence]).  Pure — a host pipeline
-    additionally caps the result at the backend's
-    {!Os_intf.S.timing_confidence_cap}. *)
+    clustering metric as [plan_confidence]).  Pure — [Gbp.Make] caps
+    the result at the backend's {!Os_intf.S.timing_confidence_cap}. *)
 
 (** The probing machinery over any {!Os_intf.S} backend.  A plan's
     [plan_confidence] is capped at the backend's
@@ -103,22 +102,4 @@ module Make (Os : Os_intf.S) : sig
 end
 
 (** The simulated-backend instance (the historical flat API). *)
-
-val probe_file : Simos.Kernel.env -> config -> path:string -> (plan, Simos.Kernel.error) result
-
-val probe_fd :
-  Simos.Kernel.env -> config -> path:string -> Simos.Kernel.fd -> plan
-
-val order_files :
-  Simos.Kernel.env ->
-  config ->
-  paths:string list ->
-  (file_rank list, Simos.Kernel.error) result
-
-val read_plan :
-  ?policy:Resilient.policy ->
-  Simos.Kernel.env ->
-  Simos.Kernel.fd ->
-  plan ->
-  f:(off:int -> len:int -> unit) ->
-  unit
+include module type of struct include Make (Os_sim) end

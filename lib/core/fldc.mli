@@ -71,18 +71,7 @@ end
 
 (** {1 The simulated-backend instance (the historical flat API)} *)
 
-val order_by_inumber :
-  Simos.Kernel.env -> paths:string list -> (stat_order list, Simos.Kernel.error) result
-
-val refresh_directory :
-  Simos.Kernel.env ->
-  ?order:[ `Size_ascending | `Given of string list ] ->
-  ?crash_at:crash_point ->
-  dir:string ->
-  unit ->
-  (unit, Simos.Kernel.error) result
-
-val repair : Simos.Kernel.env -> parent:string -> (bool, Simos.Kernel.error) result
+include module type of struct include Make (Os_sim) end
 
 val journal_name : string
 (** Name of the journal file a refresh writes into the parent directory. *)

@@ -12,18 +12,6 @@ let mode_to_string = function Mem -> "mem" | File -> "file" | Compose -> "compos
 
 let ( let* ) r f = match r with Error e -> Error e | Ok v -> f v
 
-let best_order env config mode ~paths =
-  match mode with
-  | Mem ->
-    let* ranked = Fccd.order_files env config ~paths in
-    Ok (List.map (fun r -> r.Fccd.fr_path) ranked)
-  | File ->
-    let* ordered = Fldc.order_by_inumber env ~paths in
-    Ok (List.map (fun s -> s.Fldc.so_path) ordered)
-  | Compose ->
-    let* decision = Compose.order_files env config paths in
-    Ok decision.Compose.d_order
-
 type fallback_reason =
   | Degraded_error of Kernel.error
   | Low_confidence of float
@@ -32,23 +20,47 @@ let fallback_reason_to_string = function
   | Degraded_error e -> Kernel.error_to_string e
   | Low_confidence c -> Printf.sprintf "low probe confidence (%.2f)" c
 
-(* A reordering hint must never make the pipeline worse than not asking:
-   on error, or when the probe timings do not support a believable
-   ordering, hand back the caller's own argument order and say why. *)
-let best_order_or_fallback env config ?(min_confidence = 0.0) mode ~paths =
-  let fallback reason = (paths, Some reason) in
-  match mode with
-  | Mem -> (
-    match Fccd.order_files env config ~paths with
-    | Error e -> fallback (Degraded_error e)
-    | Ok ranked ->
-      let conf = Fccd.order_confidence config ranked in
-      if conf < min_confidence then fallback (Low_confidence conf)
-      else (List.map (fun r -> r.Fccd.fr_path) ranked, None))
-  | File | Compose -> (
-    match best_order env config mode ~paths with
-    | Error e -> fallback (Degraded_error e)
-    | Ok order -> (order, None))
+module Make (Os : Os_intf.S) = struct
+  module F = Fccd.Make (Os)
+  module L = Fldc.Make (Os)
+  module C = Compose.Make (Os)
+
+  let best_order env config mode ~paths =
+    match mode with
+    | Mem ->
+      let* ranked = F.order_files env config ~paths in
+      Ok (List.map (fun r -> r.Fccd.fr_path) ranked)
+    | File ->
+      let* ordered = L.order_by_inumber env ~paths in
+      Ok (List.map (fun s -> s.Fldc.so_path) ordered)
+    | Compose ->
+      let* decision = C.order_files env config paths in
+      Ok decision.Compose.d_order
+
+  (* A reordering hint must never make the pipeline worse than not
+     asking: on error, or when the probe timings do not support a
+     believable ordering, hand back the caller's own argument order and
+     say why.  A coarse timer bounds how much a ranking may be believed,
+     exactly as in probe plans (the sim's cap is 1, the identity). *)
+  let best_order_or_fallback env config ?(min_confidence = 0.0) mode ~paths =
+    let fallback reason = (paths, Some reason) in
+    match mode with
+    | Mem -> (
+      match F.order_files env config ~paths with
+      | Error e -> fallback (Degraded_error e)
+      | Ok ranked ->
+        let conf =
+          Float.min (Os.timing_confidence_cap env) (Fccd.order_confidence config ranked)
+        in
+        if conf < min_confidence then fallback (Low_confidence conf)
+        else (List.map (fun r -> r.Fccd.fr_path) ranked, None))
+    | File | Compose -> (
+      match best_order env config mode ~paths with
+      | Error e -> fallback (Degraded_error e)
+      | Ok order -> (order, None))
+end
+
+include Make (Os_sim)
 
 (* Distinct, stable shell exit codes per kernel error (1 is reserved for
    usage errors). *)

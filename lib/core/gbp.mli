@@ -15,33 +15,40 @@ type mode =
 val mode_of_string : string -> mode option
 val mode_to_string : mode -> string
 
-val best_order :
-  Simos.Kernel.env ->
-  Fccd.config ->
-  mode ->
-  paths:string list ->
-  (string list, Simos.Kernel.error) result
-(** The file ordering a shell substitution would receive. *)
-
 type fallback_reason =
   | Degraded_error of Simos.Kernel.error  (** probing itself failed *)
   | Low_confidence of float  (** the ordering exists but is not believable *)
 
 val fallback_reason_to_string : fallback_reason -> string
 
-val best_order_or_fallback :
-  Simos.Kernel.env ->
-  Fccd.config ->
-  ?min_confidence:float ->
-  mode ->
-  paths:string list ->
-  string list * fallback_reason option
-(** Like {!best_order} but total: on a kernel error, or (in [Mem] mode)
-    when {!Fccd.order_confidence} falls below [min_confidence]
-    (default 0), the input [paths] come back unchanged together with the
-    reason — a degraded [gbp] passes the arguments through rather than
-    break the pipeline.  [None] reason means the ordering is the real
-    prediction. *)
+(** The orderings over any {!Os_intf.S} backend. *)
+module Make (Os : Os_intf.S) : sig
+  val best_order :
+    Os.env ->
+    Fccd.config ->
+    mode ->
+    paths:string list ->
+    (string list, Simos.Kernel.error) result
+  (** The file ordering a shell substitution would receive. *)
+
+  val best_order_or_fallback :
+    Os.env ->
+    Fccd.config ->
+    ?min_confidence:float ->
+    mode ->
+    paths:string list ->
+    string list * fallback_reason option
+  (** Like {!best_order} but total: on a kernel error, or (in [Mem]
+      mode) when {!Fccd.order_confidence}, capped at the backend's
+      {!Os_intf.S.timing_confidence_cap}, falls below [min_confidence]
+      (default 0), the input [paths] come back unchanged together with
+      the reason — a degraded [gbp] passes the arguments through rather
+      than break the pipeline.  [None] reason means the ordering is the
+      real prediction. *)
+end
+
+(** The simulated-backend instance (the historical flat API). *)
+include module type of struct include Make (Os_sim) end
 
 val exit_code_of_error : Simos.Kernel.error -> int
 (** Stable non-zero shell exit code for each kernel error ([Bad_path] 2,

@@ -113,24 +113,7 @@ end
 
 (** {1 The simulated-backend instance (the historical flat API)} *)
 
-type allocation = Make(Os_sim).allocation
-
-val bytes : allocation -> int
-val pages : allocation -> int
-val touch_all : Simos.Kernel.env -> allocation -> unit
-val region : allocation -> Simos.Kernel.region
-val confidence : allocation -> float
-
-val gb_alloc :
-  Simos.Kernel.env ->
-  config ->
-  min:int ->
-  max:int ->
-  multiple:int ->
-  allocation option
-
-val gb_free : Simos.Kernel.env -> allocation -> unit
-val calibrate_threshold : config -> Simos.Kernel.env -> int
+include module type of struct include Make (Os_sim) end
 
 (** {1 Introspection of the last call (for experiments)} *)
 

@@ -32,15 +32,4 @@ module Make (Os : Os_intf.S) : sig
 end
 
 (** The simulated-backend instance (the historical flat API). *)
-
-val file_byte : Simos.Kernel.env -> Simos.Kernel.fd -> off:int -> int
-
-val file_byte_r :
-  Simos.Kernel.env ->
-  ?policy:Resilient.policy ->
-  Simos.Kernel.fd ->
-  off:int ->
-  (int, Simos.Kernel.error) result
-
-val timed_read : Simos.Kernel.env -> Simos.Kernel.fd -> off:int -> len:int -> int * int
-val timed : Simos.Kernel.env -> (unit -> 'a) -> 'a * int
+include module type of struct include Make (Os_sim) end

@@ -74,17 +74,7 @@ end
 
 (** The simulated-backend instance, re-exported so existing callers keep
     the historical flat API. *)
-
-val retry :
-  ?policy:policy ->
-  (unit -> ('a, Simos.Kernel.error) result) ->
-  ('a, Simos.Kernel.error) result
-
-val retry_idempotent :
-  ?policy:policy ->
-  completed:(Simos.Kernel.error -> 'a option) ->
-  (unit -> ('a, Simos.Kernel.error) result) ->
-  ('a, Simos.Kernel.error) result
+include module type of struct include Make (Os_sim) end
 
 (** {1 Robust sample summaries}
 

@@ -124,17 +124,9 @@ let parse_token token =
   | "heavy" -> Value (Some heavy)
   | _ -> Invalid
 
-let of_string s =
-  let token = String.lowercase_ascii (String.trim s) in
-  if token = "" then None
-  else
-    match parse_token token with
-    | Gray_util.Env.Value v -> v
-    | Soft (_, v) -> v
-    | Invalid ->
-      invalid_arg
-        (Gray_util.Env.message ~var:"GRAYBOX_DRIFT" ~token
-           ~expected:expected_grammar)
+let of_string =
+  Gray_util.Env.decode ~var:"GRAYBOX_DRIFT" ~expected:expected_grammar
+    ~on_invalid:`Raise ~default:None parse_token
 
 let of_env () =
   Gray_util.Env.parse ~var:"GRAYBOX_DRIFT" ~expected:expected_grammar

@@ -101,18 +101,25 @@ let of_intensity ?seed ~intensity () =
   let sc = scale canonical ~intensity in
   match seed with None -> sc | Some s -> { sc with sc_seed = s }
 
+let expected_grammar = "none, canonical, heavy or a non-negative intensity"
+
+let parse_token token =
+  match token with
+  | "none" -> Gray_util.Env.Value None
+  | "canonical" -> Value (Some canonical)
+  | "heavy" -> Value (Some heavy)
+  | s -> (
+    match float_of_string_opt s with
+    | Some i when i >= 0.0 -> Value (Some (of_intensity ~intensity:i ()))
+    | _ -> Invalid)
+
+let of_string =
+  Gray_util.Env.decode ~var:"GRAYBOX_FAULTS" ~expected:expected_grammar
+    ~on_invalid:`Raise ~default:None parse_token
+
 let of_env () =
-  Gray_util.Env.parse ~var:"GRAYBOX_FAULTS"
-    ~expected:"none, canonical, heavy or a non-negative intensity"
-    ~on_invalid:`Raise ~default:None (fun token ->
-      match token with
-      | "none" -> Gray_util.Env.Value None
-      | "canonical" -> Value (Some canonical)
-      | "heavy" -> Value (Some heavy)
-      | s -> (
-        match float_of_string_opt s with
-        | Some i when i >= 0.0 -> Value (Some (of_intensity ~intensity:i ()))
-        | _ -> Invalid))
+  Gray_util.Env.parse ~var:"GRAYBOX_FAULTS" ~expected:expected_grammar
+    ~on_invalid:`Raise ~default:None parse_token
 
 type mutable_stats = {
   mutable m_errors : int;

@@ -4,9 +4,10 @@
     processes evict cache pages mid-probe (the Heisenberg effect,
     Section 4.1), background daemons steal CPU, timers are coarse, and
     real syscalls fail transiently (EINTR/EAGAIN).  A {!scenario}
-    describes such a hostile observation channel; {!Kernel.boot} accepts
-    one (or a {!Platform.t} can carry one) and injects the faults on the
-    syscall path.  Every draw comes from a dedicated seeded {!Gray_util.Rng},
+    describes such a hostile observation channel; {!Kernel.boot} installs
+    one from its [?faults] argument or, failing that, from
+    [GRAYBOX_FAULTS] ({!of_env}) — like the crash and drift planes, never
+    from the {!Platform.t} — and injects the faults on the syscall path.  Every draw comes from a dedicated seeded {!Gray_util.Rng},
     so a faulty run is exactly as reproducible as a benign one.
 
     With no scenario installed the kernel performs {e zero} extra work and
@@ -78,9 +79,14 @@ val scale : scenario -> intensity:float -> scenario
 val of_intensity : ?seed:int -> intensity:float -> unit -> scenario
 (** [scale canonical ~intensity] with an optional seed override. *)
 
+val of_string : string -> scenario option
+(** [""]/["none"] give [None]; ["canonical"]/["heavy"] the presets; a
+    non-negative float is an intensity ({!of_intensity}).  Anything else
+    raises [Invalid_argument] naming [GRAYBOX_FAULTS], whose grammar this
+    is. *)
+
 val of_env : unit -> scenario option
-(** Reads [GRAYBOX_FAULTS]: unset or ["none"] gives [None];
-    ["canonical"]/["heavy"] the presets; a float is an intensity. *)
+(** Reads [GRAYBOX_FAULTS] via {!of_string} (unset gives [None]). *)
 
 (** {1 Runtime plane (held by the kernel)} *)
 

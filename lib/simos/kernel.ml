@@ -118,14 +118,11 @@ let boot ~engine ~platform ?(data_disks = 4) ?volume_blocks ?faults ?crash ?drif
     k_faults =
       (match faults with
       | Some scenario -> Some (Fault.create scenario)
-      | None -> (
-        match platform.Platform.faults with
-        | Some scenario -> Some (Fault.create scenario)
-        | None ->
-          (* opt-in from the outside: GRAYBOX_FAULTS=canonical|heavy|<x>
-             runs any unsuspecting boot under fault injection, which is how
-             CI keeps the resilience paths exercised *)
-          Option.map Fault.create (Fault.of_env ())));
+      | None ->
+        (* opt-in from the outside: GRAYBOX_FAULTS=canonical|heavy|<x>
+           runs any unsuspecting boot under fault injection, which is how
+           CI keeps the resilience paths exercised *)
+        Option.map Fault.create (Fault.of_env ()));
     k_crash =
       (match crash with
       | Some scenario -> Some (Crash.create scenario)

@@ -60,8 +60,9 @@ val boot :
   t
 (** [data_disks] defaults to 4 (paper setup); [volume_blocks] defaults to
     the disk capacity.  [faults] installs a fault-injection scenario
-    (default: the platform's [faults] field, usually none); when absent the
-    kernel performs no fault-related work at all.  [crash] installs the
+    (default: [GRAYBOX_FAULTS] from the environment; the platform is not
+    a fault source); when absent the kernel performs no fault-related
+    work at all.  [crash] installs the
     crash–restart plane (default: [GRAYBOX_CRASH] from the environment);
     when absent there is no durability distinction and no per-syscall
     work — see {!durability_on}.  [drift] installs the environment-drift

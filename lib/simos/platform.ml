@@ -14,7 +14,6 @@ type t = {
   page_alloc_zero_ns : int;
   timer_resolution_ns : int;
   noise_sigma : float;
-  faults : Fault.scenario option;
 }
 
 (* Shared 2001-era hardware numbers: dual PIII, ~150 MB/s kernel-to-user
@@ -37,7 +36,6 @@ let base name =
     page_alloc_zero_ns = 9_000;
     timer_resolution_ns = 100;
     noise_sigma = 0.05;
-    faults = None;
   }
 
 let linux_2_2 = { (base "linux-2.2") with file_cache = `Unified }
@@ -82,9 +80,7 @@ let memory_layout t =
 let with_noise t ~sigma = { t with noise_sigma = sigma }
 let with_memory_mib t mib = { t with memory_mib = mib }
 let with_file_policy t policy = { t with file_policy = policy }
-let with_faults t scenario = { t with faults = scenario }
 let with_timer_resolution t ~ns = { t with timer_resolution_ns = max 1 ns }
-let hostile t = { t with faults = Some Fault.canonical }
 
 let by_name n =
   match List.find_opt (fun p -> p.name = n) all with

@@ -22,9 +22,6 @@ type t = {
   page_alloc_zero_ns : int;  (** demand-zero fill of a fresh page *)
   timer_resolution_ns : int;  (** gray-box timer granularity (rdtsc-class) *)
   noise_sigma : float;  (** log-normal service-time noise (0 = none) *)
-  faults : Fault.scenario option;
-      (** hostile-environment preset applied at boot (default [None]; see
-          {!Fault}) — {!Kernel.boot}'s [?faults] overrides it *)
 }
 
 val linux_2_2 : t
@@ -47,14 +44,7 @@ val memory_layout : t -> Memory.layout
 val with_noise : t -> sigma:float -> t
 val with_memory_mib : t -> int -> t
 val with_file_policy : t -> Replacement.factory -> t
-
-val with_faults : t -> Fault.scenario option -> t
-
 val with_timer_resolution : t -> ns:int -> t
-
-val hostile : t -> t
-(** The platform with {!Fault.canonical} installed — the reference noisy,
-    failure-prone observation channel of the robustness benches. *)
 
 val by_name : string -> t
 (** Raises [Invalid_argument] on unknown names. *)

@@ -10,22 +10,23 @@ let message ~var ~token ~expected =
 
 let normalize s = String.lowercase_ascii (String.trim s)
 
+let decode ~var ~expected ~on_invalid ~default parse_token raw =
+  let token = normalize raw in
+  if token = "" then default
+  else
+    match parse_token token with
+    | Value v -> v
+    | Soft (detail, v) ->
+      Printf.eprintf "warning: %s=%s: %s\n%!" var token detail;
+      v
+    | Invalid -> (
+      let msg = message ~var ~token ~expected in
+      match on_invalid with
+      | `Raise -> invalid_arg msg
+      | `Exit ->
+        Printf.eprintf "error: %s\n%!" msg;
+        exit 2)
+
 let parse ~var ~expected ~on_invalid ~default parse_token =
-  match Sys.getenv_opt var with
-  | None | Some "" -> default
-  | Some raw -> (
-    let token = normalize raw in
-    if token = "" then default
-    else
-      match parse_token token with
-      | Value v -> v
-      | Soft (detail, v) ->
-        Printf.eprintf "warning: %s=%s: %s\n%!" var token detail;
-        v
-      | Invalid -> (
-        let msg = message ~var ~token ~expected in
-        match on_invalid with
-        | `Raise -> invalid_arg msg
-        | `Exit ->
-          Printf.eprintf "error: %s\n%!" msg;
-          exit 2))
+  decode ~var ~expected ~on_invalid ~default parse_token
+    (Option.value (Sys.getenv_opt var) ~default:"")

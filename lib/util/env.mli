@@ -19,6 +19,21 @@ type 'a outcome =
 val message : var:string -> token:string -> expected:string -> string
 (** ["var=token: expected <expected>"] — the uniform diagnostic. *)
 
+val decode :
+  var:string ->
+  expected:string ->
+  on_invalid:[ `Raise | `Exit ] ->
+  default:'a ->
+  (string -> 'a outcome) ->
+  string ->
+  'a
+(** Decode one raw value in [var]'s grammar: empty (after trimming)
+    yields [default]; otherwise the token is trimmed and lowercased and
+    handed to the callback.  [`Raise] fails with [Invalid_argument]
+    (library-level misuse, catchable); [`Exit] prints ["error: ..."] and
+    exits with the usage code 2 (process-level configuration, not
+    catchable).  A plane's [of_string] is this on a command-line value. *)
+
 val parse :
   var:string ->
   expected:string ->
@@ -26,8 +41,4 @@ val parse :
   default:'a ->
   (string -> 'a outcome) ->
   'a
-(** Look up [var]; unset or empty (after trimming) yields [default].
-    Otherwise the token is trimmed and lowercased and handed to the
-    callback.  [`Raise] fails with [Invalid_argument] (library-level
-    misuse, catchable); [`Exit] prints ["error: ..."] and exits with the
-    usage code 2 (process-level configuration, not catchable). *)
+(** {!decode} on the value of [var]; unset counts as empty. *)

@@ -306,8 +306,37 @@ let test_scenario_validation_rejects () =
     (fun sc -> ignore (Fault.create sc))
     [ Fault.quiet; Fault.canonical; Fault.heavy ]
 
+(* ---- one grammar for the flag and the variable ---- *)
+
+(* [gbp --faults] parses through [of_string] and every unpinned boot
+   through [of_env]: both must read each token the same way, errors
+   included. *)
+let test_of_string_matches_env () =
+  let decode f = match f () with sc -> Ok sc | exception Invalid_argument _ -> Error () in
+  let saved = Sys.getenv_opt "GRAYBOX_FAULTS" in
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "GRAYBOX_FAULTS" (Option.value saved ~default:""))
+    (fun () ->
+      List.iter
+        (fun (token, expected) ->
+          let flag = decode (fun () -> Fault.of_string token) in
+          Unix.putenv "GRAYBOX_FAULTS" token;
+          let env = decode Fault.of_env in
+          Alcotest.(check bool) (Printf.sprintf "%S: flag = env" token) true (flag = env);
+          Alcotest.(check bool) (Printf.sprintf "%S: expected" token) true (flag = expected))
+        [
+          ("", Ok None);
+          ("none", Ok None);
+          ("canonical", Ok (Some Fault.canonical));
+          ("HEAVY", Ok (Some Fault.heavy));
+          (" 0.5 ", Ok (Some (Fault.of_intensity ~intensity:0.5 ())));
+          ("-1", Error ());
+          ("bogus", Error ());
+        ])
+
 let suite =
   [
+    Alcotest.test_case "of_string matches GRAYBOX_FAULTS" `Quick test_of_string_matches_env;
     Alcotest.test_case "quiet scenario is bit-identical" `Quick
       test_quiet_scenario_bit_identical;
     Alcotest.test_case "scenario validation rejects" `Quick

@@ -112,6 +112,54 @@ let test_gbp_fallback_file_mode_error () =
       Alcotest.(check bool) "degraded with an error" true
         (match reason with Some (Gbp.Degraded_error _) -> true | _ -> false))
 
+(* The mem-mode confidence cap is applied in [Gbp.Make], on every
+   backend: a backend whose timer supports at most 0.25 belief must fall
+   back where the exact sim clears the same bar. *)
+module Capped = struct
+  include Os_sim
+
+  let timing_confidence_cap _ = 0.25
+end
+
+(* The mem-mode verdict at a 0.5 bar on a fresh sigma = 0 machine with
+   half the files warmed; [order] is one backend's
+   [best_order_or_fallback] (a fresh machine each, since probing warms
+   what it touches). *)
+let half_warmed_verdict order =
+  let engine = Engine.create () in
+  let k =
+    Kernel.boot ~engine ~platform:tiny_linux ~data_disks:1 ~seed:11 ~faults:Fault.quiet ()
+  in
+  let verdict = ref None in
+  Kernel.spawn k (fun env ->
+      let paths =
+        Gray_apps.Workload.make_files env ~dir:"/d0/data" ~prefix:"f" ~count:4
+          ~size:(1 * mib)
+      in
+      Kernel.flush_file_cache k;
+      List.iter (Gray_apps.Workload.read_file env) [ List.nth paths 1; List.nth paths 3 ];
+      verdict := Some (paths, order env (small_config ~seed:7) ~paths));
+  Kernel.run k;
+  Option.get !verdict
+
+let test_gbp_confidence_cap () =
+  let module G = Gbp.Make (Capped) in
+  let _, (_, reason) =
+    half_warmed_verdict (fun env config ~paths ->
+        Gbp.best_order_or_fallback env config ~min_confidence:0.5 Gbp.Mem ~paths)
+  in
+  Alcotest.(check bool) "the sim clears the bar" true (reason = None);
+  let paths, (ordered, reason) =
+    half_warmed_verdict (fun env config ~paths ->
+        G.best_order_or_fallback env config ~min_confidence:0.5 Gbp.Mem ~paths)
+  in
+  Alcotest.(check (list string)) "argument order preserved" paths ordered;
+  match reason with
+  | Some (Gbp.Low_confidence c) ->
+    Alcotest.(check bool) (Printf.sprintf "capped (%.2f)" c) true (c <= 0.25)
+  | Some r -> Alcotest.failf "wrong reason: %s" (Gbp.fallback_reason_to_string r)
+  | None -> Alcotest.fail "expected the cap to force a fallback"
+
 let test_gbp_exit_codes_distinct () =
   let kernel_codes =
     List.map Gbp.exit_code_of_error
@@ -167,4 +215,5 @@ let suite =
       test_gbp_fallback_low_confidence;
     Alcotest.test_case "gbp fallback on file-mode error" `Quick
       test_gbp_fallback_file_mode_error;
+    Alcotest.test_case "gbp confidence cap in Gbp.Make" `Quick test_gbp_confidence_cap;
   ]
