@@ -53,6 +53,13 @@ let telemetry_mode () =
 
 let set_telemetry_mode m = telemetry_slot := Some m
 
+(* ---- hostile planes --------------------------------------------------- *)
+
+(* Set by bench/main.ml from GRAYBOX_FAULTS/CRASH/DRIFT before the pool
+   fans out; {!boot} installs them unless an experiment pins its own. *)
+let planes_slot = ref Graybox_core.Planes.none
+let set_planes p = planes_slot := p
+
 (* ---- simulation helpers ---------------------------------------------- *)
 
 (* Engines booted while a task runs are registered domain-locally so the
@@ -79,8 +86,12 @@ let boot ?(platform = Platform.linux_2_2) ?(data_disks = 4) ?(seed = 42) ?faults
     ?drift ?sched ?procs () =
   let engine = Engine.create () in
   register_engine engine;
+  let p = !planes_slot in
+  let pinned given run = match given with None -> run | Some _ -> given in
   let k =
-    Kernel.boot ~engine ~platform ~data_disks ~seed ?faults ?drift ?sched ?procs ()
+    Kernel.boot ~engine ~platform ~data_disks ~seed
+      ?faults:(pinned faults p.faults) ?crash:p.crash ?drift:(pinned drift p.drift)
+      ?sched ?procs ()
   in
   register_kernel k;
   k

@@ -240,6 +240,9 @@ let () =
     | Gray_util.Telemetry.Off -> Bench_common.set_telemetry_mode Gray_util.Telemetry.Full
     | mode -> Bench_common.set_telemetry_mode mode
   end;
+  (* read before any output, so a malformed plane variable is a usage
+     error like a malformed GRAYBOX_TRIALS, not a crash mid-run *)
+  Bench_common.set_planes (Graybox_core.Planes.of_env ());
   Printf.printf
     "Reproducing %d experiment(s): %d trials per figure (paper used 30), %d domain(s).\n%!"
     (List.length selected) (Bench_common.trials ()) jobs;

@@ -51,8 +51,8 @@ let print_ordering ~header (ordered, reason) =
   List.iter print_endline ordered;
   match reason with Some (Gbp.Degraded_error e) -> Gbp.exit_code_of_error e | _ -> 0
 
-let run_sim mode files size_mib warm out noise seed fault_scenario crash_at extra
-    min_confidence trace metrics drift_scenario adaptive rounds recal_budget
+let run_sim mode files size_mib warm out noise seed fault_scenario crash_scenario
+    extra min_confidence trace metrics drift_scenario adaptive rounds recal_budget
     flight_dump =
   let module Tele = Gray_util.Telemetry in
   (* --trace / --metrics opt into telemetry; an explicit GRAYBOX_TELEMETRY
@@ -67,10 +67,9 @@ let run_sim mode files size_mib warm out noise seed fault_scenario crash_at extr
   in
   let platform = Platform.with_noise Platform.linux_2_2 ~sigma:noise in
   let engine = Engine.create () in
-  (* --crash-at wins over GRAYBOX_CRASH (boot's env fallback) *)
   let k =
     Kernel.boot ~engine ~platform ~data_disks:1 ~seed ?faults:fault_scenario
-      ?crash:(Option.map Crash.at_syscall crash_at) ?drift:drift_scenario ()
+      ?crash:crash_scenario ?drift:drift_scenario ()
   in
   (* no-op without a drift plane; with one, replay the schedule as a
      background process so the orderings below see the machine change *)
@@ -298,17 +297,17 @@ let run_host mode files size_mib warm out seed extra min_confidence =
             exit_code := 7);
       !exit_code)
 
-let run os mode files size_mib warm out noise seed fault_scenario crash_at extra
-    min_confidence trace metrics drift_scenario adaptive rounds recal_budget
+let run os mode files size_mib warm out noise seed fault_scenario crash_scenario
+    extra min_confidence trace metrics drift_scenario adaptive rounds recal_budget
     flight_dump =
   match os with
   | Os_choice.Sim ->
-    run_sim mode files size_mib warm out noise seed fault_scenario crash_at extra
-      min_confidence trace metrics drift_scenario adaptive rounds recal_budget
+    run_sim mode files size_mib warm out noise seed fault_scenario crash_scenario
+      extra min_confidence trace metrics drift_scenario adaptive rounds recal_budget
       flight_dump
   | Os_choice.Host ->
     if
-      fault_scenario <> None || crash_at <> None || drift_scenario <> None
+      fault_scenario <> None || crash_scenario <> None || drift_scenario <> None
       || adaptive || trace <> None || metrics || flight_dump <> None
     then
       Printf.eprintf
@@ -327,7 +326,8 @@ let mode_conv =
   Arg.conv (parse, fun ppf m -> Format.pp_print_string ppf (Gbp.mode_to_string m))
 
 (* A scenario flag takes exactly its GRAYBOX_* variable's grammar: the
-   plane parses it and its message is the usage error. *)
+   plane parses it and its message is the usage error.  The variable is
+   the flag's default, so an explicit flag — [none] included — wins. *)
 let scenario_conv of_string name =
   let parse s =
     match of_string s with
@@ -358,15 +358,16 @@ let count = non_negative Arg.int 0
 let crash_at_conv =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= 1 -> Ok (Some n)
+    | Some n when n >= 1 -> Ok (Some (Crash.at_syscall n))
     | Some _ -> Error (`Msg "crash boundary must be >= 1")
     | None -> Error (`Msg ("bad crash boundary: " ^ s ^ " (expected an integer >= 1)"))
   in
-  let print ppf = function
-    | None -> Format.pp_print_string ppf "none"
-    | Some n -> Format.pp_print_int ppf n
+  let print ppf sc =
+    Format.pp_print_string ppf (match sc with None -> "none" | Some sc -> sc.Crash.cs_name)
   in
   Arg.conv (parse, print)
+
+let planes = Planes.of_env ()
 
 let os_conv =
   let parse s =
@@ -402,21 +403,23 @@ let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Simulation seed."
 
 let faults_arg =
   Arg.(
-    value & opt fault_conv None
+    value & opt fault_conv planes.faults
     & info [ "faults" ]
-        ~doc:"Fault scenario: none, canonical, heavy, or a float intensity.")
+        ~doc:
+          "Fault scenario: none, canonical, heavy, or a float intensity.  \
+           Defaults to GRAYBOX_FAULTS.")
 
 let crash_at_arg =
   Arg.(
-    value & opt crash_at_conv None
+    value & opt crash_at_conv planes.crash
     & info [ "crash-at" ] ~docv:"N"
         ~doc:
           "Crash the simulated machine at syscall boundary $(docv) (counted \
            from boot, >= 1), then restart it from the durable image and run \
            the repair pass.  Exit code 9 means the volume recovered, 10 means \
            recovery failed; a boundary past the end of the run never fires \
-           and the pipeline completes normally.  GRAYBOX_CRASH=at:N is the \
-           environment equivalent.")
+           and the pipeline completes normally.  Defaults to GRAYBOX_CRASH \
+           (none, durable, at:N or a probability).")
 
 let extra_arg =
   Arg.(
@@ -445,14 +448,13 @@ let metrics_arg =
 
 let drift_arg =
   Arg.(
-    value & opt drift_conv None
+    value & opt drift_conv planes.drift
     & info [ "drift" ]
         ~doc:
           "Environment-drift scenario: none, quiet, canonical or heavy.  The \
            machine then changes mid-run (cache resizes, policy swaps, timer \
            coarsening, pressure regimes); combine with $(b,--adaptive) to \
-           watch the ordering heal.  GRAYBOX_DRIFT is the environment \
-           equivalent.")
+           watch the ordering heal.  Defaults to GRAYBOX_DRIFT.")
 
 let adaptive_arg =
   Arg.(

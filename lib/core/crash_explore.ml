@@ -49,16 +49,10 @@ let small_platform =
     { Platform.linux_2_2 with Platform.memory_mib = 96; kernel_reserved_mib = 32 }
     ~sigma:0.0
 
-(* The explorer measures the recovery protocol, not the fault plane: like
-   the other instruments that test themselves, it pins the bit-identical
-   quiet scenario so a GRAYBOX_FAULTS=canonical run cannot inject
-   transient errors into the replayed window and desynchronise the
-   boundary schedule from the baseline count (the pre-PR-7 crash-16
-   failure under canonical faults). *)
 let boot ~seed =
   let engine = Engine.create () in
   Kernel.boot ~engine ~platform:small_platform ~data_disks:1 ~volume_blocks:16384
-    ~faults:Fault.quiet ~crash:Crash.durable ~seed ()
+    ~crash:Crash.durable ~seed ()
 
 let must = function
   | Ok v -> v

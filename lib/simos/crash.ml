@@ -43,10 +43,6 @@ let of_string =
   Gray_util.Env.decode ~var:"GRAYBOX_CRASH" ~expected:expected_grammar
     ~on_invalid:`Raise ~default:None parse_token
 
-let of_env () =
-  Gray_util.Env.parse ~var:"GRAYBOX_CRASH" ~expected:expected_grammar
-    ~on_invalid:`Raise ~default:None parse_token
-
 type mutable_stats = { mutable m_crashes : int; mutable m_restarts : int }
 
 type t = {

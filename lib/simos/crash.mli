@@ -13,8 +13,10 @@
     [1 .. N-1] completed and syscall [N] never started, the atomicity
     granularity of the whole plane.
 
-    Installing the plane also switches the kernel to explicit durability
-    semantics (see {!Kernel.durability_on}).  With no scenario installed
+    {!Kernel.boot} installs the plane only from [?crash] ([GRAYBOX_CRASH]
+    is read at program edges, by [Graybox_core.Planes]).  Installing it
+    also switches the kernel to explicit durability semantics (see
+    {!Kernel.durability_on}).  With no scenario installed
     the kernel performs zero extra work and zero RNG draws — benign runs
     are byte-identical to a build without this module. *)
 
@@ -43,10 +45,7 @@ val probabilistic : ?seed:int -> prob:float -> unit -> scenario
 val of_string : string -> scenario option
 (** [""]/["none"] gives [None]; ["durable"]; ["at:N"] with [N >= 1]; a
     float in [(0, 1]] is a per-boundary probability.  Anything else raises
-    [Invalid_argument] — same strict style as [GRAYBOX_TRIALS]. *)
-
-val of_env : unit -> scenario option
-(** {!of_string} on [GRAYBOX_CRASH] (unset gives [None]). *)
+    [Invalid_argument] naming [GRAYBOX_CRASH], whose grammar this is. *)
 
 (** {1 Runtime plane (held by the kernel)} *)
 

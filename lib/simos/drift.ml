@@ -128,10 +128,6 @@ let of_string =
   Gray_util.Env.decode ~var:"GRAYBOX_DRIFT" ~expected:expected_grammar
     ~on_invalid:`Raise ~default:None parse_token
 
-let of_env () =
-  Gray_util.Env.parse ~var:"GRAYBOX_DRIFT" ~expected:expected_grammar
-    ~on_invalid:`Raise ~default:None parse_token
-
 let max_pressure_frac sc =
   List.fold_left
     (fun acc ev ->

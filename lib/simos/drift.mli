@@ -10,6 +10,9 @@
     before such an event is silently wrong after it; the adaptive layer
     ([Graybox_core.Adaptive]) exists to notice and repair that.
 
+    {!Kernel.boot} installs the plane only from [?drift] ([GRAYBOX_DRIFT]
+    is read at program edges, by [Graybox_core.Planes]).
+
     The contract matches {!Fault} and {!Crash}: with no scenario installed
     the kernel performs {e zero} extra work and zero extra RNG draws, so
     benign runs are bit-identical to a build without this module; the
@@ -66,12 +69,9 @@ val validate : scenario -> unit
 
 val of_string : string -> scenario option
 (** [""]/["none"] give [None]; ["quiet"]/["canonical"]/["heavy"] the
-    presets.  Anything else raises [Invalid_argument] — same strict
-    validation as [GRAYBOX_TRIALS]/[GRAYBOX_CRASH], a bad value is a hard
-    error, not a silent default. *)
-
-val of_env : unit -> scenario option
-(** Reads [GRAYBOX_DRIFT] via {!of_string}. *)
+    presets.  Anything else raises [Invalid_argument] naming
+    [GRAYBOX_DRIFT], whose grammar this is: a bad value is a hard error,
+    not a silent default. *)
 
 val max_pressure_frac : scenario -> float
 (** Largest [Pressure_level] in the schedule (0. when none) — sizes the

@@ -117,10 +117,6 @@ let of_string =
   Gray_util.Env.decode ~var:"GRAYBOX_FAULTS" ~expected:expected_grammar
     ~on_invalid:`Raise ~default:None parse_token
 
-let of_env () =
-  Gray_util.Env.parse ~var:"GRAYBOX_FAULTS" ~expected:expected_grammar
-    ~on_invalid:`Raise ~default:None parse_token
-
 type mutable_stats = {
   mutable m_errors : int;
   mutable m_spikes : int;

@@ -5,10 +5,11 @@
     Section 4.1), background daemons steal CPU, timers are coarse, and
     real syscalls fail transiently (EINTR/EAGAIN).  A {!scenario}
     describes such a hostile observation channel; {!Kernel.boot} installs
-    one from its [?faults] argument or, failing that, from
-    [GRAYBOX_FAULTS] ({!of_env}) — like the crash and drift planes, never
-    from the {!Platform.t} — and injects the faults on the syscall path.  Every draw comes from a dedicated seeded {!Gray_util.Rng},
-    so a faulty run is exactly as reproducible as a benign one.
+    one only from its [?faults] argument — never from the {!Platform.t}
+    or the environment ([GRAYBOX_FAULTS] is read at program edges, by
+    [Graybox_core.Planes]) — and injects the faults on the syscall path.
+    Every draw comes from a dedicated seeded {!Gray_util.Rng}, so a
+    faulty run is exactly as reproducible as a benign one.
 
     With no scenario installed the kernel performs {e zero} extra work and
     zero extra RNG draws: benign runs are bit-identical to a build without
@@ -84,9 +85,6 @@ val of_string : string -> scenario option
     non-negative float is an intensity ({!of_intensity}).  Anything else
     raises [Invalid_argument] naming [GRAYBOX_FAULTS], whose grammar this
     is. *)
-
-val of_env : unit -> scenario option
-(** Reads [GRAYBOX_FAULTS] via {!of_string} (unset gives [None]). *)
 
 (** {1 Runtime plane (held by the kernel)} *)
 

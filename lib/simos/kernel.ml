@@ -115,26 +115,9 @@ let boot ~engine ~platform ?(data_disks = 4) ?volume_blocks ?faults ?crash ?drif
     k_procs = Hashtbl.create (max 16 procs);
     k_sched = Option.map Sched.create sched;
     k_next_pid = 1;
-    k_faults =
-      (match faults with
-      | Some scenario -> Some (Fault.create scenario)
-      | None ->
-        (* opt-in from the outside: GRAYBOX_FAULTS=canonical|heavy|<x>
-           runs any unsuspecting boot under fault injection, which is how
-           CI keeps the resilience paths exercised *)
-        Option.map Fault.create (Fault.of_env ()));
-    k_crash =
-      (match crash with
-      | Some scenario -> Some (Crash.create scenario)
-      | None ->
-        (* GRAYBOX_CRASH=durable|at:N|<p> — same opt-in pattern *)
-        Option.map Crash.create (Crash.of_env ()));
-    k_drift =
-      (match drift with
-      | Some scenario -> Some (Drift.create scenario)
-      | None ->
-        (* GRAYBOX_DRIFT=quiet|canonical|heavy — same opt-in pattern *)
-        Option.map Drift.create (Drift.of_env ()));
+    k_faults = Option.map Fault.create faults;
+    k_crash = Option.map Crash.create crash;
+    k_drift = Option.map Drift.create drift;
     (* neither draws RNG nor advances the clock *)
     k_account = Account.create ();
     k_flight = Flight.create ();
@@ -199,6 +182,16 @@ let resolve_path t path =
 
 (* ---- processes ---- *)
 
+(* Forget pages [lo, hi) of [pid]'s address space: resident copies leave
+   the cache, swapped-out ones the swap table.  A kernel that never
+   swapped skips building a probe key per page. *)
+let drop_anon_range t ~pid ~lo ~hi =
+  ignore (Memory.invalidate_anon_range t.k_mem ~pid ~lo ~hi);
+  if Page.Tbl.length t.k_swapped > 0 then
+    for vpn = lo to hi - 1 do
+      Page.Tbl.remove t.k_swapped (Page.Anon { pid; vpn })
+    done
+
 let spawn t ?(name = "proc") ?(weight = 1) ?at body =
   let p_pid = t.k_next_pid in
   t.k_next_pid <- t.k_next_pid + 1;
@@ -221,12 +214,7 @@ let spawn t ?(name = "proc") ?(weight = 1) ?at body =
       (fun r ->
         if r.r_live then begin
           r.r_live <- false;
-          let lo = r.r_start_vpn and hi = r.r_start_vpn + r.r_pages in
-          ignore (Memory.invalidate_anon_range t.k_mem ~pid:p_pid ~lo ~hi);
-          if Page.Tbl.length t.k_swapped > 0 then
-            for vpn = lo to hi - 1 do
-              Page.Tbl.remove t.k_swapped (Page.Anon { pid = p_pid; vpn })
-            done
+          drop_anon_range t ~pid:p_pid ~lo:r.r_start_vpn ~hi:(r.r_start_vpn + r.r_pages)
         end)
       proc.p_regions;
     Hashtbl.remove t.k_procs p_pid;
@@ -1020,14 +1008,8 @@ let vfree env region =
   if region.r_live then begin
     region.r_live <- false;
     let t = env.e_k in
-    let lo = region.r_start_vpn and hi = region.r_start_vpn + region.r_pages in
-    ignore (Memory.invalidate_anon_range t.k_mem ~pid:region.r_owner ~lo ~hi);
-    (* swap never touched (the common case for a short-lived region):
-       skip building a probe key per page *)
-    if Page.Tbl.length t.k_swapped > 0 then
-      for vpn = lo to hi - 1 do
-        Page.Tbl.remove t.k_swapped (Page.Anon { pid = region.r_owner; vpn })
-      done;
+    drop_anon_range t ~pid:region.r_owner ~lo:region.r_start_vpn
+      ~hi:(region.r_start_vpn + region.r_pages);
     Engine.delay (noised t t.k_platform.Platform.syscall_overhead_ns)
   end
 
@@ -1040,12 +1022,8 @@ let vrelease env region ~first ~count =
     invalid_arg "Kernel.vrelease: out of range";
   sys_entry env Flight.Vrelease;
   let t = env.e_k in
-  let lo = region.r_start_vpn + first and hi = region.r_start_vpn + first + count in
-  ignore (Memory.invalidate_anon_range t.k_mem ~pid:region.r_owner ~lo ~hi);
-  if Page.Tbl.length t.k_swapped > 0 then
-    for vpn = lo to hi - 1 do
-      Page.Tbl.remove t.k_swapped (Page.Anon { pid = region.r_owner; vpn })
-    done;
+  let lo = region.r_start_vpn + first in
+  drop_anon_range t ~pid:region.r_owner ~lo ~hi:(lo + count);
   Engine.delay (noised t t.k_platform.Platform.syscall_overhead_ns)
 
 (* Each page's observed time is its raw cost (touch, or swap-in /

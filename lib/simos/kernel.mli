@@ -59,16 +59,15 @@ val boot :
   unit ->
   t
 (** [data_disks] defaults to 4 (paper setup); [volume_blocks] defaults to
-    the disk capacity.  [faults] installs a fault-injection scenario
-    (default: [GRAYBOX_FAULTS] from the environment; the platform is not
-    a fault source); when absent the kernel performs no fault-related
-    work at all.  [crash] installs the
-    crash–restart plane (default: [GRAYBOX_CRASH] from the environment);
-    when absent there is no durability distinction and no per-syscall
-    work — see {!durability_on}.  [drift] installs the environment-drift
-    plane (default: [GRAYBOX_DRIFT]); when absent the kernel's clock and
-    memory configuration never change mid-run and no drift-related work
-    happens at all.
+    the disk capacity.  Boot reads only its arguments: an absent plane
+    means no plane (programs read [GRAYBOX_*] at their edge, see
+    [Graybox_core.Planes]).  [faults] installs a fault-injection
+    scenario; when absent the kernel performs no fault-related work at
+    all.  [crash] installs the crash–restart plane; when absent there is
+    no durability distinction and no per-syscall work — see
+    {!durability_on}.  [drift] installs the environment-drift plane;
+    when absent the kernel's clock and memory configuration never change
+    mid-run and no drift-related work happens at all.
 
     The per-process accounting ledger ({!account}) and the flight
     recorder ({!flight}) are always on: the ledger is the kernel's only

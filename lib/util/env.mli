@@ -1,12 +1,13 @@
 (** Strict, uniform parsing of the [GRAYBOX_*] environment variables.
 
-    Every plane that reads one (faults, crash, drift, telemetry, OS
-    backend) and the bench trial count validate their variable through
-    {!parse}, so a bad token always produces the same shape of diagnostic —
+    Every variable (faults, crash, drift, telemetry, OS backend, bench
+    trial count) is decoded through {!decode} or {!parse}, so a bad token
+    always produces the same shape of diagnostic —
     ["GRAYBOX_X=token: expected <grammar>"] — naming both the variable
-    and the offending token.  Only the failure {e channel} differs per
-    variable (the planes raised [Invalid_argument] or exited with the
-    usage code before unification, and tests pin those modes). *)
+    and the offending token.  Only the failure {e channel} differs: the
+    planes' [of_string] raise [Invalid_argument], which a command-line
+    flag turns into a usage error and [Graybox_core.Planes] into exit 2;
+    the other variables exit with the usage code directly. *)
 
 type 'a outcome =
   | Value of 'a  (** token accepted *)

@@ -11,13 +11,10 @@ let small_platform =
     { Platform.linux_2_2 with Platform.memory_mib = 24; kernel_reserved_mib = 16 }
     ~sigma:0.0
 
-(* These tests measure the instrument itself, so they pin the
-   bit-identical quiet fault scenario (the canonical-faults CI pass
-   would otherwise inject transient errors into the exactness sums). *)
 let boot ?crash ~seed () =
   let engine = Engine.create () in
   Kernel.boot ~engine ~platform:small_platform ~data_disks:1 ~volume_blocks:16384
-    ~faults:Fault.quiet ?crash ~account:true ~seed ()
+    ?crash ~seed ()
 
 let must = function
   | Ok v -> v

@@ -14,15 +14,9 @@ let tiny_linux =
     { Platform.linux_2_2 with Platform.memory_mib = 96; kernel_reserved_mib = 32 }
     ~sigma:0.0
 
-(* Calibration-exactness assertions need a clean instrument:
-   [Fault.quiet] shields these tests from GRAYBOX_FAULTS chaos
-   injection (the fault benches cover adaptive-under-noise). *)
 let boot ?drift ?(seed = 77) () =
   let engine = Engine.create () in
-  let k =
-    Kernel.boot ~engine ~platform:tiny_linux ~data_disks:1 ~seed ~faults:Fault.quiet
-      ?drift ()
-  in
+  let k = Kernel.boot ~engine ~platform:tiny_linux ~data_disks:1 ~seed ?drift () in
   Kernel.start_drift_daemon k;
   k
 

@@ -11,11 +11,9 @@ let tiny_linux =
     { Platform.linux_2_2 with Platform.memory_mib = 96; kernel_reserved_mib = 32 }
     ~sigma:0.0
 
-(* App benchmarks compare exact phase timings across variants; pin the
-   bit-identical quiet scenario so GRAYBOX_FAULTS cannot skew the race. *)
 let run_proc ?(data_disks = 3) body =
   let engine = Engine.create () in
-  let k = Kernel.boot ~engine ~platform:tiny_linux ~data_disks ~seed:123 ~faults:Fault.quiet () in
+  let k = Kernel.boot ~engine ~platform:tiny_linux ~data_disks ~seed:123 () in
   let result = ref None in
   Kernel.spawn k (fun env -> result := Some (body env));
   Kernel.run k;

@@ -13,7 +13,7 @@ let tiny_linux =
 
 let run_proc body =
   let engine = Engine.create () in
-  let k = Kernel.boot ~engine ~platform:tiny_linux ~data_disks:2 ~seed:303 () in
+  let k = Ambient.boot ~engine ~platform:tiny_linux ~data_disks:2 ~seed:303 () in
   let result = ref None in
   Kernel.spawn k (fun env -> result := Some (body env));
   Kernel.run k;

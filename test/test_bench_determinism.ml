@@ -5,6 +5,7 @@
 open Gray_bench
 
 let exec_with_jobs plan jobs =
+  Bench_common.set_planes Ambient.planes;
   let pool = Gray_util.Domain_pool.create ~size:jobs in
   Fun.protect
     ~finally:(fun () -> Gray_util.Domain_pool.shutdown pool)

@@ -17,7 +17,7 @@ let tiny_linux =
 
 let boot ?faults ?crash ?(seed = 11) () =
   let engine = Engine.create () in
-  (engine, Kernel.boot ~engine ~platform:tiny_linux ~data_disks:1 ?faults ?crash ~seed ())
+  (engine, Ambient.boot ~engine ~platform:tiny_linux ~data_disks:1 ?faults ?crash ~seed ())
 
 let ok = function
   | Ok v -> v
@@ -114,55 +114,45 @@ let test_sync_makes_everything_durable () =
    virtual time passes.  With the plane on, fsyncing dirty pages pays
    real disk writebacks. *)
 let test_fsync_free_when_off_charges_when_on () =
-  let saved = Sys.getenv_opt "GRAYBOX_CRASH" in
-  Unix.putenv "GRAYBOX_CRASH" "none";
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "GRAYBOX_CRASH" (Option.value saved ~default:""))
-    (fun () ->
-      let elapsed ?crash () =
-        let engine, k = boot ?crash () in
-        let dt = ref 0 in
-        Kernel.spawn k (fun env ->
-            let fd = ok (Kernel.create_file env "/d0/f") in
-            ignore (ok (Kernel.write env fd ~off:0 ~len:(4 * kib8)));
-            let t0 = Engine.now engine in
-            ok (Kernel.fsync env fd);
-            Kernel.sync env;
-            dt := Engine.now engine - t0;
-            Kernel.close env fd);
-        Kernel.run k;
-        !dt
-      in
-      Alcotest.(check int) "plane off: fsync+sync cost nothing" 0 (elapsed ());
-      Alcotest.(check bool) "plane on: fsync pays for the writeback" true
-        (elapsed ~crash:Crash.durable () > 0))
+  let elapsed ?crash () =
+    let engine, k = boot ?crash () in
+    let dt = ref 0 in
+    Kernel.spawn k (fun env ->
+        let fd = ok (Kernel.create_file env "/d0/f") in
+        ignore (ok (Kernel.write env fd ~off:0 ~len:(4 * kib8)));
+        let t0 = Engine.now engine in
+        ok (Kernel.fsync env fd);
+        Kernel.sync env;
+        dt := Engine.now engine - t0;
+        Kernel.close env fd);
+    Kernel.run k;
+    !dt
+  in
+  Alcotest.(check int) "plane off: fsync+sync cost nothing" 0 (elapsed ());
+  Alcotest.(check bool) "plane on: fsync pays for the writeback" true
+    (elapsed ~crash:Crash.durable () > 0)
 
 (* An installed-but-never-fired durable plane must not perturb a workload
    that never syncs: same virtual end time, same probe results. *)
 let test_inert_plane_byte_identical () =
-  let saved = Sys.getenv_opt "GRAYBOX_CRASH" in
-  Unix.putenv "GRAYBOX_CRASH" "none";
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "GRAYBOX_CRASH" (Option.value saved ~default:""))
-    (fun () ->
-      let fingerprint ?crash () =
-        let engine, k = boot ?crash () in
-        let out = ref None in
-        Kernel.spawn k (fun env ->
-            let paths =
-              Gray_apps.Workload.make_files env ~dir:"/d0/data" ~prefix:"f" ~count:4
-                ~size:(64 * kib8)
-            in
-            Kernel.flush_file_cache k;
-            Gray_apps.Workload.read_file env (List.hd paths);
-            let config = Fccd.default_config ~seed:5 () in
-            let ranked = ok (Fccd.order_files env config ~paths) in
-            out := Some (List.map (fun r -> (r.Fccd.fr_path, r.Fccd.fr_probe_ns)) ranked));
-        Kernel.run k;
-        (Engine.now engine, !out)
-      in
-      Alcotest.(check bool) "fingerprints equal" true
-        (fingerprint () = fingerprint ~crash:Crash.durable ()))
+  let fingerprint ?crash () =
+    let engine, k = boot ?crash () in
+    let out = ref None in
+    Kernel.spawn k (fun env ->
+        let paths =
+          Gray_apps.Workload.make_files env ~dir:"/d0/data" ~prefix:"f" ~count:4
+            ~size:(64 * kib8)
+        in
+        Kernel.flush_file_cache k;
+        Gray_apps.Workload.read_file env (List.hd paths);
+        let config = Fccd.default_config ~seed:5 () in
+        let ranked = ok (Fccd.order_files env config ~paths) in
+        out := Some (List.map (fun r -> (r.Fccd.fr_path, r.Fccd.fr_probe_ns)) ranked));
+    Kernel.run k;
+    (Engine.now engine, !out)
+  in
+  Alcotest.(check bool) "fingerprints equal" true
+    (fingerprint () = fingerprint ~crash:Crash.durable ())
 
 (* ---- crash injection and restart --------------------------------------- *)
 

@@ -1,4 +1,4 @@
-(* Drift plane: install-time validation, strict env parsing, the
+(* Drift plane: install-time validation, strict scenario parsing, the
    quiet-scenario byte-identity contract, each mutation kind's observable
    runtime effect, stats accounting and determinism under drift. *)
 
@@ -21,14 +21,9 @@ let cramped_linux =
     { Platform.linux_2_2 with Platform.memory_mib = 24; kernel_reserved_mib = 8 }
     ~sigma:0.0
 
-(* Exact-capacity and clock assertions need a clean instrument:
-   [Fault.quiet] is bit-identical to no fault plane and shields these
-   tests from GRAYBOX_FAULTS chaos injection. *)
 let boot ?drift ?(platform = tiny_linux) ?(seed = 11) () =
   let engine = Engine.create () in
-  let k =
-    Kernel.boot ~engine ~platform ~data_disks:1 ~seed ~faults:Fault.quiet ?drift ()
-  in
+  let k = Kernel.boot ~engine ~platform ~data_disks:1 ~seed ?drift () in
   Kernel.start_drift_daemon k;
   (engine, k)
 
@@ -119,18 +114,6 @@ let test_of_string_strict () =
     Alcotest.(check bool) "error names the variable" true (mentions "GRAYBOX_DRIFT" msg)
   | _ -> Alcotest.fail "bogus value accepted")
 
-let test_of_env () =
-  let saved = Sys.getenv_opt "GRAYBOX_DRIFT" in
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "GRAYBOX_DRIFT" (Option.value saved ~default:""))
-    (fun () ->
-      Unix.putenv "GRAYBOX_DRIFT" "canonical";
-      (match Drift.of_env () with
-      | Some sc -> Alcotest.(check string) "env preset" "canonical" sc.Drift.dr_name
-      | None -> Alcotest.fail "GRAYBOX_DRIFT=canonical gave None");
-      Unix.putenv "GRAYBOX_DRIFT" "none";
-      Alcotest.(check bool) "none is None" true (Drift.of_env () = None))
-
 (* ---- the off switch is free ---- *)
 
 (* Same contract as the fault and crash planes: booting with the
@@ -159,14 +142,9 @@ let fingerprint ?drift () =
   (Engine.now engine, Kernel.counters k, !out)
 
 let test_quiet_scenario_bit_identical () =
-  let saved = Sys.getenv_opt "GRAYBOX_DRIFT" in
-  Unix.putenv "GRAYBOX_DRIFT" "none";
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "GRAYBOX_DRIFT" (Option.value saved ~default:""))
-    (fun () ->
-      Alcotest.(check bool)
-        "fingerprints equal" true
-        (fingerprint () = fingerprint ~drift:Drift.quiet ()))
+  Alcotest.(check bool)
+    "fingerprints equal" true
+    (fingerprint () = fingerprint ~drift:Drift.quiet ())
 
 (* ---- runtime effects, one kind at a time ---- *)
 
@@ -310,7 +288,6 @@ let suite =
   [
     Alcotest.test_case "scenario validation rejects" `Quick test_validation_rejects;
     Alcotest.test_case "of_string strict" `Quick test_of_string_strict;
-    Alcotest.test_case "of_env" `Quick test_of_env;
     Alcotest.test_case "quiet scenario is bit-identical" `Quick
       test_quiet_scenario_bit_identical;
     Alcotest.test_case "cache resize applies" `Quick test_cache_resize;

@@ -12,7 +12,7 @@ let tiny_linux =
 
 let boot () =
   let engine = Engine.create () in
-  Kernel.boot ~engine ~platform:tiny_linux ~data_disks:2 ~seed:707 ()
+  Ambient.boot ~engine ~platform:tiny_linux ~data_disks:2 ~seed:707 ()
 
 let run_proc body =
   let k = boot () in

@@ -13,7 +13,7 @@ let tiny_linux =
 
 let boot () =
   let engine = Engine.create () in
-  Kernel.boot ~engine ~platform:tiny_linux ~data_disks:1 ~seed:11 ()
+  Ambient.boot ~engine ~platform:tiny_linux ~data_disks:1 ~seed:11 ()
 
 let ok = function
   | Ok v -> v

@@ -15,7 +15,7 @@ let tiny_linux =
 
 let boot ?faults ?(platform = tiny_linux) ?(seed = 11) () =
   let engine = Engine.create () in
-  (engine, Kernel.boot ~engine ~platform ~data_disks:1 ~seed ?faults ())
+  (engine, Ambient.boot ~engine ~platform ~data_disks:1 ~seed ?faults ())
 
 let ok = function
   | Ok v -> v
@@ -32,10 +32,11 @@ let small_config ~seed =
 
 (* The whole fault plane must be invisible when no fault fires: booting
    with the all-zeros [quiet] scenario — the plane installed but inert —
-   must reproduce the no-plane run bit for bit (same virtual end time,
+   must reproduce a plain boot's run bit for bit (same virtual end time,
    same probe timings, same plan). *)
 let fingerprint ?faults () =
-  let engine, k = boot ?faults () in
+  let engine = Engine.create () in
+  let k = Kernel.boot ~engine ~platform:tiny_linux ~data_disks:1 ~seed:11 ?faults () in
   let out = ref None in
   Kernel.spawn k (fun env ->
       let paths =
@@ -55,16 +56,9 @@ let fingerprint ?faults () =
   (Engine.now engine, !out)
 
 let test_quiet_scenario_bit_identical () =
-  (* the baseline boot must be genuinely plane-free, so shield it from a
-     GRAYBOX_FAULTS setting in the surrounding environment *)
-  let saved = Sys.getenv_opt "GRAYBOX_FAULTS" in
-  Unix.putenv "GRAYBOX_FAULTS" "none";
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "GRAYBOX_FAULTS" (Option.value saved ~default:""))
-    (fun () ->
-      Alcotest.(check bool)
-        "fingerprints equal" true
-        (fingerprint () = fingerprint ~faults:Fault.quiet ()))
+  Alcotest.(check bool)
+    "fingerprints equal" true
+    (fingerprint () = fingerprint ~faults:Fault.quiet ())
 
 let test_deterministic_under_faults () =
   let go () =
@@ -308,31 +302,26 @@ let test_scenario_validation_rejects () =
 
 (* ---- one grammar for the flag and the variable ---- *)
 
-(* [gbp --faults] parses through [of_string] and every unpinned boot
-   through [of_env]: both must read each token the same way, errors
-   included. *)
+(* [gbp --faults] and the edge reader of GRAYBOX_FAULTS both decode
+   through [of_string]: each token, errors included, reads as below. *)
 let test_of_string_matches_env () =
-  let decode f = match f () with sc -> Ok sc | exception Invalid_argument _ -> Error () in
-  let saved = Sys.getenv_opt "GRAYBOX_FAULTS" in
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "GRAYBOX_FAULTS" (Option.value saved ~default:""))
-    (fun () ->
-      List.iter
-        (fun (token, expected) ->
-          let flag = decode (fun () -> Fault.of_string token) in
-          Unix.putenv "GRAYBOX_FAULTS" token;
-          let env = decode Fault.of_env in
-          Alcotest.(check bool) (Printf.sprintf "%S: flag = env" token) true (flag = env);
-          Alcotest.(check bool) (Printf.sprintf "%S: expected" token) true (flag = expected))
-        [
-          ("", Ok None);
-          ("none", Ok None);
-          ("canonical", Ok (Some Fault.canonical));
-          ("HEAVY", Ok (Some Fault.heavy));
-          (" 0.5 ", Ok (Some (Fault.of_intensity ~intensity:0.5 ())));
-          ("-1", Error ());
-          ("bogus", Error ());
-        ])
+  List.iter
+    (fun (token, expected) ->
+      let decoded =
+        match Fault.of_string token with
+        | sc -> Ok sc
+        | exception Invalid_argument _ -> Error ()
+      in
+      Alcotest.(check bool) (Printf.sprintf "%S: expected" token) true (decoded = expected))
+    [
+      ("", Ok None);
+      ("none", Ok None);
+      ("canonical", Ok (Some Fault.canonical));
+      ("HEAVY", Ok (Some Fault.heavy));
+      (" 0.5 ", Ok (Some (Fault.of_intensity ~intensity:0.5 ())));
+      ("-1", Error ());
+      ("bogus", Error ());
+    ]
 
 let suite =
   [

@@ -14,7 +14,7 @@ let noisy_linux = Platform.with_noise tiny_linux ~sigma:0.08
 
 let run_proc ?(platform = tiny_linux) body =
   let engine = Engine.create () in
-  let k = Kernel.boot ~engine ~platform ~data_disks:2 ~seed:33 () in
+  let k = Ambient.boot ~engine ~platform ~data_disks:2 ~seed:33 () in
   let result = ref None in
   Kernel.spawn k (fun env -> result := Some (body env));
   Kernel.run k;

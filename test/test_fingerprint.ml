@@ -14,12 +14,9 @@ let platform_with ?(file_cache = `Fixed_mib 48) policy =
        policy)
     ~sigma:0.0
 
-(* Fingerprinting decodes the replacement policy from designed probe
-   sequences; injected spikes/errors would smear the signature, so these
-   tests pin the bit-identical quiet scenario against GRAYBOX_FAULTS. *)
 let run_proc platform body =
   let engine = Engine.create () in
-  let k = Kernel.boot ~engine ~platform ~data_disks:1 ~seed:606 ~faults:Fault.quiet () in
+  let k = Kernel.boot ~engine ~platform ~data_disks:1 ~seed:606 () in
   let result = ref None in
   Kernel.spawn k (fun env -> result := Some (body env));
   Kernel.run k;

@@ -10,7 +10,7 @@ let tiny_linux =
 
 let run_proc ?(platform = tiny_linux) body =
   let engine = Engine.create () in
-  let k = Kernel.boot ~engine ~platform ~data_disks:2 ~seed:55 () in
+  let k = Ambient.boot ~engine ~platform ~data_disks:2 ~seed:55 () in
   let result = ref None in
   Kernel.spawn k (fun env -> result := Some (body env));
   Kernel.run k;

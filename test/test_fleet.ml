@@ -26,14 +26,10 @@ let patho_platform =
     { Platform.linux_2_2 with Platform.memory_mib = 24; kernel_reserved_mib = 16 }
     ~sigma:0.05
 
-(* These tests pin regression thresholds and byte-identity, so they pin
-   the quiet fault scenario (the canonical-faults CI pass would
-   otherwise perturb the measured trajectories). *)
-let boot ?platform ?sched ?account ~seed () =
+let boot ?platform ?sched ~seed () =
   let engine = Engine.create () in
   let platform = Option.value platform ~default:fleet_platform in
-  Kernel.boot ~engine ~platform ~data_disks:1 ~faults:Fault.quiet ?sched
-    ?account ~seed ()
+  Kernel.boot ~engine ~platform ~data_disks:1 ?sched ~seed ()
 
 (* ---- differential: fleet(1) ≡ solo ------------------------------------ *)
 
@@ -66,7 +62,7 @@ let member_body ~seed paths ~rng env =
    exactly as the fleet derives member 0's (the first split of the
    master stream). *)
 let solo_run ~seed =
-  let k = boot ~account:true ~seed () in
+  let k = boot ~seed () in
   let paths = ref [||] in
   setup_population k paths;
   let rng = Gray_util.Rng.split (Gray_util.Rng.create ~seed) in
@@ -83,7 +79,7 @@ let fleet1_run ~seed =
       fd_reap_every = 1;
     }
   in
-  let k = boot ~sched:(Fleet.sched_config d) ~account:true ~seed () in
+  let k = boot ~sched:(Fleet.sched_config d) ~seed () in
   let paths = ref [||] in
   setup_population k paths;
   Fleet.spawn_fleet k d
@@ -113,6 +109,7 @@ let prop_fleet1_is_solo =
 (* ---- fleet bench determinism at any -j --------------------------------- *)
 
 let exec_with_jobs plan jobs =
+  Gray_bench.Bench_common.set_planes Ambient.planes;
   let pool = Gray_util.Domain_pool.create ~size:jobs in
   Fun.protect
     ~finally:(fun () -> Gray_util.Domain_pool.shutdown pool)
@@ -202,7 +199,7 @@ let export_string a =
 (* Memory-starved contending processes so the blame matrix is non-empty
    when the reap folds it. *)
 let test_reap_preserves_export () =
-  let k = boot ~platform:patho_platform ~account:true ~seed:31 () in
+  let k = boot ~platform:patho_platform ~seed:31 () in
   let paths = ref [||] in
   setup_population k paths;
   for p = 0 to 5 do

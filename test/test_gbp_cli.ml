@@ -68,7 +68,7 @@ let tiny_linux =
 
 let in_sim body =
   let engine = Engine.create () in
-  let k = Kernel.boot ~engine ~platform:tiny_linux ~data_disks:1 ~seed:11 () in
+  let k = Ambient.boot ~engine ~platform:tiny_linux ~data_disks:1 ~seed:11 () in
   Kernel.spawn k (fun env -> body env);
   Kernel.run k
 
@@ -127,9 +127,7 @@ end
    what it touches). *)
 let half_warmed_verdict order =
   let engine = Engine.create () in
-  let k =
-    Kernel.boot ~engine ~platform:tiny_linux ~data_disks:1 ~seed:11 ~faults:Fault.quiet ()
-  in
+  let k = Kernel.boot ~engine ~platform:tiny_linux ~data_disks:1 ~seed:11 () in
   let verdict = ref None in
   Kernel.spawn k (fun env ->
       let paths =
@@ -202,6 +200,45 @@ let test_gbp_exit_codes_distinct () =
     (Gbp.exit_code_of_error (Kernel.Fs_error Fs.Enospc))
     (Gbp.exit_code_of_error (Kernel.Sys_error "EACCES"))
 
+(* ---- the plane variables are read at the program edge ---- *)
+
+(* [f] with each variable set to its value, restored afterwards (unset
+   and empty read the same). *)
+let with_env bindings f =
+  let saved = List.map (fun (var, _) -> (var, Sys.getenv_opt var)) bindings in
+  List.iter (fun (var, value) -> Unix.putenv var value) bindings;
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun (var, v) -> Unix.putenv var (Option.value v ~default:"")) saved)
+    f
+
+let test_boot_reads_no_environment () =
+  with_env
+    [ ("GRAYBOX_FAULTS", "canonical"); ("GRAYBOX_CRASH", "durable"); ("GRAYBOX_DRIFT", "canonical") ]
+    (fun () ->
+      let k = Kernel.boot ~engine:(Engine.create ()) ~platform:tiny_linux ~seed:1 () in
+      Alcotest.(check bool) "no fault plane" true (Option.is_none (Kernel.fault_plane k));
+      Alcotest.(check bool) "no crash plane" true (Option.is_none (Kernel.crash_plane k));
+      Alcotest.(check bool) "no drift plane" true (Option.is_none (Kernel.drift_plane k)))
+
+let test_planes_of_env () =
+  List.iter
+    (fun (faults, crash, drift) ->
+      with_env
+        [ ("GRAYBOX_FAULTS", faults); ("GRAYBOX_CRASH", crash); ("GRAYBOX_DRIFT", drift) ]
+        (fun () ->
+          let p = Planes.of_env () in
+          let label = Printf.sprintf "%S %S %S" faults crash drift in
+          Alcotest.(check bool) (label ^ ": faults") true (p.Planes.faults = Fault.of_string faults);
+          Alcotest.(check bool) (label ^ ": crash") true (p.Planes.crash = Crash.of_string crash);
+          Alcotest.(check bool) (label ^ ": drift") true (p.Planes.drift = Drift.of_string drift)))
+    [
+      ("", "", "");
+      ("canonical", "durable", "canonical");
+      (" HEAVY ", "at:37", "quiet");
+      ("0.5", "0.25", "none");
+    ]
+
 let suite =
   [
     Alcotest.test_case "dirname/basename" `Quick test_dirname_basename;
@@ -216,4 +253,6 @@ let suite =
     Alcotest.test_case "gbp fallback on file-mode error" `Quick
       test_gbp_fallback_file_mode_error;
     Alcotest.test_case "gbp confidence cap in Gbp.Make" `Quick test_gbp_confidence_cap;
+    Alcotest.test_case "boot reads no environment" `Quick test_boot_reads_no_environment;
+    Alcotest.test_case "planes read at the edge" `Quick test_planes_of_env;
   ]

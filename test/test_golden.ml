@@ -38,13 +38,9 @@ let platforms =
 let seeds = [ 11; 23; 47 ]
 let ok = Gray_apps.Workload.ok_exn
 
-(* [Fault.quiet] is bit-identical to no fault plane but shields the pinned
-   values from a GRAYBOX_FAULTS=canonical CI pass. *)
 let run_proc platform seed body =
   let engine = Engine.create () in
-  let k =
-    Kernel.boot ~engine ~platform ~data_disks:2 ~seed ~faults:Fault.quiet ()
-  in
+  let k = Kernel.boot ~engine ~platform ~data_disks:2 ~seed () in
   let result = ref None in
   Kernel.spawn k (fun env -> result := Some (body env));
   Kernel.run k;

@@ -14,7 +14,7 @@ let tiny_linux =
 
 let boot ?faults ?(platform = tiny_linux) ?(data_disks = 2) () =
   let engine = Engine.create () in
-  Kernel.boot ~engine ~platform ~data_disks ~seed:11 ?faults ()
+  Ambient.boot ~engine ~platform ~data_disks ~seed:11 ?faults ()
 
 (* [~faults:Fault.quiet] (bit-identical to no plane) is for tests whose
    timing thresholds cannot tolerate GRAYBOX_FAULTS chaos injection. *)

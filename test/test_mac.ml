@@ -18,12 +18,9 @@ let small_mac =
     max_increment = 8 * mib;
   }
 
-(* Exact-grant assertions need a clean instrument: [Fault.quiet] is
-   bit-identical to no fault plane and shields these tests from
-   GRAYBOX_FAULTS chaos injection (test_faults covers MAC under faults). *)
 let boot () =
   let engine = Engine.create () in
-  Kernel.boot ~engine ~platform:tiny_linux ~data_disks:2 ~seed:77 ~faults:Fault.quiet ()
+  Kernel.boot ~engine ~platform:tiny_linux ~data_disks:2 ~seed:77 ()
 
 let run_proc body =
   let k = boot () in
@@ -183,7 +180,7 @@ let test_works_under_noise () =
   (* 8% log-normal noise on every service time: detection must still hold *)
   let engine = Engine.create () in
   let platform = Platform.with_noise tiny_linux ~sigma:0.08 in
-  let k = Kernel.boot ~engine ~platform ~data_disks:2 ~seed:88 ~faults:Fault.quiet () in
+  let k = Kernel.boot ~engine ~platform ~data_disks:2 ~seed:88 () in
   let granted = ref (-1) in
   Kernel.spawn k (fun env ->
       match Mac.gb_alloc env small_mac ~min:(8 * mib) ~max:(96 * mib) ~multiple:100 with

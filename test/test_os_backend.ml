@@ -72,7 +72,7 @@ let op_to_string = function
    FCCD produced along the way. *)
 let interp (module A : API) ~seed ops =
   let engine = Engine.create () in
-  let k = Kernel.boot ~engine ~platform:tiny_linux ~data_disks:1 ~seed () in
+  let k = Ambient.boot ~engine ~platform:tiny_linux ~data_disks:1 ~seed () in
   let observed = ref [] in
   let final_time = ref 0 in
   Kernel.spawn k (fun env ->

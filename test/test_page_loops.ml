@@ -87,13 +87,13 @@ let spiky =
 type config = {
   name : string;
   platform : Platform.t;
-  faults : Fault.scenario option;  (* [None]: whatever the environment installs *)
+  faults : Fault.scenario option;
   drift_factor : int option;
 }
 
 let configs =
   [|
-    { name = "linux"; platform = tiny_linux; faults = None; drift_factor = None };
+    { name = "linux"; platform = tiny_linux; faults = Ambient.faults; drift_factor = None };
     {
       name = "linux noisy, faults, drift x3";
       platform = Platform.with_noise tiny_linux ~sigma:0.5;

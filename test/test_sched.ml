@@ -14,16 +14,9 @@ let ms = 1_000_000
 let one_cpu =
   Platform.with_noise { Platform.linux_2_2 with Platform.cpus = 1 } ~sigma:0.0
 
-(* These tests measure the scheduler itself, so they pin the quiet fault
-   scenario (the canonical-faults CI pass would otherwise perturb the
-   round-robin algebra). *)
 let boot ?sched ~seed () =
   let engine = Engine.create () in
-  let k =
-    Kernel.boot ~engine ~platform:one_cpu ~data_disks:1 ~faults:Fault.quiet
-      ?sched ~seed ()
-  in
-  (engine, k)
+  (engine, Kernel.boot ~engine ~platform:one_cpu ~data_disks:1 ?sched ~seed ())
 
 let the_sched k = Option.get (Kernel.sched k)
 

@@ -199,6 +199,7 @@ let small_plan () =
     ~trials:2 ()
 
 let exec_with_jobs plan jobs =
+  Bench_common.set_planes Ambient.planes;
   let pool = Domain_pool.create ~size:jobs in
   Fun.protect
     ~finally:(fun () -> Domain_pool.shutdown pool)

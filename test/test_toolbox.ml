@@ -10,11 +10,9 @@ let tiny_linux =
     { Platform.linux_2_2 with Platform.memory_mib = 96; kernel_reserved_mib = 32 }
     ~sigma:0.0
 
-(* Microbenchmark calibration measures the platform's true cost model;
-   the bit-identical quiet scenario keeps GRAYBOX_FAULTS out of it. *)
 let run_proc body =
   let engine = Engine.create () in
-  let k = Kernel.boot ~engine ~platform:tiny_linux ~data_disks:2 ~seed:202 ~faults:Fault.quiet () in
+  let k = Kernel.boot ~engine ~platform:tiny_linux ~data_disks:2 ~seed:202 () in
   let result = ref None in
   Kernel.spawn k (fun env -> result := Some (body env));
   Kernel.run k;

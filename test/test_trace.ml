@@ -127,7 +127,7 @@ let test_interpose_records_trace () =
         kernel_reserved_mib = 32 }
       ~sigma:0.0
   in
-  let k = Simos.Kernel.boot ~engine ~platform ~data_disks:1 ~seed:505 () in
+  let k = Ambient.boot ~engine ~platform ~data_disks:1 ~seed:505 () in
   let trace = Trace.create () in
   Simos.Kernel.spawn k (fun env ->
       let agent =

@@ -12,7 +12,7 @@ let tiny_linux =
 
 let run_proc body =
   let engine = Engine.create () in
-  let k = Kernel.boot ~engine ~platform:tiny_linux ~data_disks:2 ~seed:404 () in
+  let k = Ambient.boot ~engine ~platform:tiny_linux ~data_disks:2 ~seed:404 () in
   let result = ref None in
   Kernel.spawn k (fun env -> result := Some (body env));
   Kernel.run k;
