@@ -25,15 +25,17 @@ let platform =
 
 let intensities = [ 0.0; 0.5; 1.0; 2.0 ]
 
+(* Intensity 0 pins the quiet plane, so the curve's zero point is a clean
+   run whatever plane the program installs (GRAYBOX_FAULTS). *)
 let scenario ~intensity ~seed =
-  if intensity <= 0.0 then None
-  else Some (Fault.of_intensity ~seed:(0xFA17 + seed) ~intensity ())
+  if intensity <= 0.0 then Fault.quiet
+  else Fault.of_intensity ~seed:(0xFA17 + seed) ~intensity ()
 
 (* ---- FCCD: rank accuracy against the pre-probe cache truth ---- *)
 
 let fccd_trial ~hardened ~intensity ~seed =
   let k =
-    boot ~platform ~data_disks:1 ~seed ?faults:(scenario ~intensity ~seed) ()
+    boot ~platform ~data_disks:1 ~seed ~faults:(scenario ~intensity ~seed) ()
   in
   Kernel.start_fault_daemons k;
   let rho = ref 0.0 in
@@ -86,7 +88,7 @@ let fccd_trial ~hardened ~intensity ~seed =
    error. *)
 let mac_trial ~intensity ~seed =
   let k =
-    boot ~platform ~data_disks:1 ~seed ?faults:(scenario ~intensity ~seed) ()
+    boot ~platform ~data_disks:1 ~seed ~faults:(scenario ~intensity ~seed) ()
   in
   Kernel.start_fault_daemons k;
   let usable = Platform.usable_pages platform in

@@ -274,14 +274,37 @@ and run_hot_paths_kernel () =
         read_words);
   Kernel.run k
 
-(* The PR-7 surfaces on the same trendline: the incremental fsck against
-   the full-scan oracle it replaces on the explorer's per-boundary path,
-   and the arena extent path behind read/write (append-grow + truncate,
-   chunks recycling through the free lists with no OCaml allocation in
-   steady state). *)
+(* The Fs surfaces on one trendline: a whole-disk boot, which makes every
+   data volume's cylinder-group maps (ms and words per boot, minor plus
+   direct-major); the incremental fsck against the full-scan oracle it
+   replaces on the explorer's per-boundary path; and the arena extent path
+   behind read/write (append-grow + truncate, chunks recycling through
+   the free lists with no OCaml allocation in steady state). *)
 and run_hot_paths_fs () =
   let open Bechamel in
   let must = function Ok v -> v | Error e -> failwith (Fs.error_to_string e) in
+  let boot_row ~data_disks ~boots =
+    let words () =
+      let _, promoted, major = Gc.counters () in
+      Gc.minor_words () +. major -. promoted
+    in
+    let w0 = words () in
+    let t0 = Monotonic_clock.now () in
+    for _ = 1 to boots do
+      ignore
+        (Kernel.boot ~engine:(Engine.create ()) ~platform:Platform.linux_2_2 ~data_disks
+           ~seed:42 ())
+    done;
+    let ns = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) in
+    let n = float_of_int boots in
+    Printf.printf "  boot, %d volume%s %10.2f ms/boot %12.0f words/boot\n%!" data_disks
+      (if data_disks = 1 then " " else "s")
+      (ns /. n /. 1e6)
+      ((words () -. w0) /. n)
+  in
+  Printf.printf "# boot: whole-disk data volumes (linux-2.2)\n";
+  boot_row ~data_disks:1 ~boots:20;
+  boot_row ~data_disks:4 ~boots:10;
   let block = 4096 in
   let fs = Fs.create (Fs.default_config ~total_blocks:16384) in
   ignore (must (Fs.mkdir fs "/dir"));

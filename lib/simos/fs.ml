@@ -54,16 +54,28 @@ type inode = {
   mutable d_epoch : int;
 }
 
+(* A cylinder group's maps live in [Bytes], as FFS keeps them in the
+   cylinder-group block: the GC never scans them and a fresh group costs
+   two small zeroed strings.  [block_map] and [inode_map] hold one bit per
+   data block and per inode slot.  [owners] is the maintained
+   block-ownership map, 4 bytes per data block holding [ino + 1] (0 =
+   unowned); it is [Bytes.empty] until the group's first block
+   allocation, and a group without one owns nothing.  The bitmap and the
+   ownership map are each written at allocation and free, never derived
+   from each other: the incremental checker verifies ownership without
+   rebuilding the map, and a disagreement between the two stays something
+   fsck can find. *)
 type group = {
   index : int;
   first_block : int;  (* first data block (after the inode table) *)
   data_blocks : int;
-  block_used : bool array;  (* indexed by [block - first_block] *)
+  block_map : Bytes.t;  (* bit [block - first_block] set = allocated *)
   mutable block_free : int;
   mutable rotor : int;  (* next-fit scan position (FFS rotational rotor) *)
-  inode_used : bool array;
+  inode_map : Bytes.t;  (* bit [slot] set = allocated *)
   mutable inode_free : int;
   mutable inode_hint : int;
+  mutable owners : Bytes.t;  (* indexed by [4 * (block - first_block)] *)
   mutable g_epoch : int;  (* dirty mark: bitmaps/counts changed this epoch *)
 }
 
@@ -78,10 +90,6 @@ type t = {
   mutable arena : int array;
   mutable arena_used : int;
   free_chunks : int array;  (* per size class: head chunk offset, -1 = empty *)
-  (* maintained block-ownership map: [owner.(b)] is the inode whose extent
-     holds data block [b], or -1.  Kept in sync at attach/detach so the
-     incremental checker verifies ownership without rebuilding the map. *)
-  owner : int array;
   (* dirty epochs *)
   mutable epoch : int;
   mutable gen : int;  (* bumped when [epoch] wraps; disambiguates tokens *)
@@ -92,6 +100,53 @@ type t = {
 let inode_table_blocks cfg = (cfg.inodes_per_group + inodes_per_block - 1) / inodes_per_block
 
 let group_of_ino ino ~inodes_per_group = ino / inodes_per_group
+
+(* ---- cylinder-group maps ---- *)
+
+let bits_make n = Bytes.make ((n + 7) lsr 3) '\000'
+
+let bit m i = Char.code (Bytes.get m (i lsr 3)) land (1 lsl (i land 7)) <> 0
+
+let set_bit m i =
+  let j = i lsr 3 in
+  Bytes.set m j (Char.unsafe_chr (Char.code (Bytes.get m j) lor (1 lsl (i land 7))))
+
+let clear_bit m i =
+  let j = i lsr 3 in
+  Bytes.set m j (Char.unsafe_chr (Char.code (Bytes.get m j) land lnot (1 lsl (i land 7))))
+
+(* Lowest clear bit in [[i, n)], or -1; a wholly allocated byte is
+   skipped at once. *)
+let rec find_clear m i n =
+  if i >= n then -1
+  else if i land 7 = 0 && i + 8 <= n && Bytes.get m (i lsr 3) = '\255' then
+    find_clear m (i + 8) n
+  else if bit m i then find_clear m (i + 1) n
+  else i
+
+(* [f i] for every set bit, ascending; a wholly free byte is skipped at
+   once.  The last byte's padding bits are never set. *)
+let iter_set f m =
+  for j = 0 to Bytes.length m - 1 do
+    let byte = Char.code (Bytes.get m j) in
+    if byte <> 0 then
+      for k = 0 to 7 do
+        if byte land (1 lsl k) <> 0 then f ((j lsl 3) + k)
+      done
+  done
+
+let owner g offset =
+  if Bytes.length g.owners = 0 then -1
+  else Int32.to_int (Bytes.get_int32_le g.owners (4 * offset)) - 1
+
+let set_owner g offset ino =
+  if Bytes.length g.owners = 0 then g.owners <- Bytes.make (4 * g.data_blocks) '\000';
+  Bytes.set_int32_le g.owners (4 * offset) (Int32.of_int (ino + 1))
+
+let clear_owner g offset =
+  if Bytes.length g.owners > 0 then Bytes.set_int32_le g.owners (4 * offset) 0l
+
+let group_of_block t block = t.groups.(block / t.cfg.blocks_per_group)
 
 (* ---- dirty epochs ---- *)
 
@@ -186,7 +241,6 @@ let extent_reserve t node =
 let push_block t node b =
   extent_reserve t node;
   t.arena.(node.ext_off + node.nblocks) <- b;
-  t.owner.(b) <- node.ino;
   node.nblocks <- node.nblocks + 1
 
 let nth_block t node i = t.arena.(node.ext_off + i)
@@ -203,12 +257,13 @@ let make_group cfg index =
     index;
     first_block = base + itb;
     data_blocks;
-    block_used = Array.make data_blocks false;
+    block_map = bits_make data_blocks;
     block_free = data_blocks;
     rotor = 0;
-    inode_used = Array.make cfg.inodes_per_group false;
+    inode_map = bits_make cfg.inodes_per_group;
     inode_free = cfg.inodes_per_group;
     inode_hint = 0;
+    owners = Bytes.empty;
     g_epoch = 0;
   }
 
@@ -233,7 +288,6 @@ let create cfg =
       arena = Array.make 512 0;
       arena_used = 0;
       free_chunks = Array.make n_classes (-1);
-      owner = Array.make cfg.total_blocks (-1);
       epoch = 1;
       gen = 0;
       dirty_inos = [];
@@ -241,7 +295,7 @@ let create cfg =
     }
   in
   (* Root directory occupies inode 0 of group 0. *)
-  groups.(0).inode_used.(0) <- true;
+  set_bit groups.(0).inode_map 0;
   groups.(0).inode_free <- groups.(0).inode_free - 1;
   groups.(0).inode_hint <- 1;
   t.total_free_inodes <- t.total_free_inodes - 1;
@@ -265,14 +319,14 @@ let alloc_inode t ~group =
       let g = t.groups.((group + i) mod ngroups) in
       if g.inode_free = 0 then try_group (i + 1)
       else begin
-        let slot = ref g.inode_hint in
-        while g.inode_used.(!slot) do incr slot done;
-        g.inode_used.(!slot) <- true;
+        let slot = find_clear g.inode_map g.inode_hint t.cfg.inodes_per_group in
+        assert (slot >= 0);
+        set_bit g.inode_map slot;
         g.inode_free <- g.inode_free - 1;
-        g.inode_hint <- !slot + 1;
+        g.inode_hint <- slot + 1;
         t.total_free_inodes <- t.total_free_inodes - 1;
         mark_group t g;
-        Some ((g.index * t.cfg.inodes_per_group) + !slot)
+        Some ((g.index * t.cfg.inodes_per_group) + slot)
       end
     end
   in
@@ -281,44 +335,46 @@ let alloc_inode t ~group =
 let free_inode t ino =
   let g = t.groups.(ino / t.cfg.inodes_per_group) in
   let slot = ino mod t.cfg.inodes_per_group in
-  assert g.inode_used.(slot);
-  g.inode_used.(slot) <- false;
+  assert (bit g.inode_map slot);
+  clear_bit g.inode_map slot;
   g.inode_free <- g.inode_free + 1;
   if slot < g.inode_hint then g.inode_hint <- slot;
   t.total_free_inodes <- t.total_free_inodes + 1;
   mark_group t g
 
-let group_of_block t block = t.groups.(block / t.cfg.blocks_per_group)
-
-let take_block t g offset =
-  g.block_used.(offset) <- true;
+(* Allocate data block [offset] of [g] to inode [ino]: the bitmap and the
+   ownership map are each written here and each cleared in [free_block]. *)
+let take_block t g offset ~ino =
+  set_bit g.block_map offset;
+  set_owner g offset ino;
   g.block_free <- g.block_free - 1;
   g.rotor <- (offset + 1) mod g.data_blocks;
   t.total_free_blocks <- t.total_free_blocks - 1;
   mark_group t g;
   g.first_block + offset
 
+(* Blocks past the last whole group belong to no group and are never
+   free. *)
 let block_is_free t block =
-  let g = group_of_block t block in
+  let gi = block / t.cfg.blocks_per_group in
+  gi < Array.length t.groups
+  &&
+  let g = t.groups.(gi) in
   let offset = block - g.first_block in
-  offset >= 0 && offset < g.data_blocks && not g.block_used.(offset)
+  offset >= 0 && offset < g.data_blocks && not (bit g.block_map offset)
 
-(* FFS-flavoured block allocation: contiguous after [near] when possible,
-   else first-fit in the preferred group, else the following groups. *)
-let alloc_block t ~group ~near =
-  let contiguous =
-    match near with
-    | Some b when b + 1 < t.cfg.total_blocks && block_is_free t (b + 1) ->
-      let g = group_of_block t (b + 1) in
-      Some (take_block t g (b + 1 - g.first_block))
-    | _ -> None
-  in
-  match contiguous with
-  | Some b -> Some b
-  | None ->
+(* FFS-flavoured block allocation for inode [ino]: contiguous after block
+   [near] (-1 = none) when possible, else next-fit in the preferred group,
+   else the following groups.  -1 when every group is full. *)
+let alloc_block t ~ino ~group ~near =
+  if near >= 0 && block_is_free t (near + 1) then begin
+    let g = group_of_block t (near + 1) in
+    take_block t g (near + 1 - g.first_block) ~ino
+  end
+  else begin
     let ngroups = Array.length t.groups in
     let rec try_group i =
-      if i = ngroups then None
+      if i = ngroups then -1
       else begin
         let g = t.groups.((group + i) mod ngroups) in
         if g.block_free = 0 then try_group (i + 1)
@@ -326,24 +382,27 @@ let alloc_block t ~group ~near =
           (* Next-fit from the rotor, wrapping: freed holes behind the
              rotor are not preferred, which is what makes i-number order
              drift away from layout order as the file system ages. *)
-          let offset = ref g.rotor in
-          while g.block_used.(!offset) do
-            offset := (!offset + 1) mod g.data_blocks
-          done;
-          Some (take_block t g !offset)
+          let offset =
+            match find_clear g.block_map g.rotor g.data_blocks with
+            | -1 -> find_clear g.block_map 0 g.rotor
+            | offset -> offset
+          in
+          assert (offset >= 0);
+          take_block t g offset ~ino
         end
       end
     in
     try_group 0
+  end
 
 let free_block t block =
   let g = group_of_block t block in
   let offset = block - g.first_block in
-  assert g.block_used.(offset);
-  g.block_used.(offset) <- false;
+  assert (bit g.block_map offset);
+  clear_bit g.block_map offset;
   g.block_free <- g.block_free + 1;
   t.total_free_blocks <- t.total_free_blocks + 1;
-  t.owner.(block) <- -1;
+  clear_owner g offset;
   mark_group t g
 
 (* ---- paths ---- *)
@@ -598,13 +657,10 @@ let resize t ~ino ~size =
           let group = ino / t.cfg.inodes_per_group in
           mark_ino t node;
           for _ = 1 to missing do
-            let near =
-              if node.nblocks = 0 then None
-              else Some (nth_block t node (node.nblocks - 1))
-            in
-            match alloc_block t ~group ~near with
-            | None -> assert false (* guarded by the free-count check *)
-            | Some b -> push_block t node b
+            let near = if node.nblocks = 0 then -1 else nth_block t node (node.nblocks - 1) in
+            let b = alloc_block t ~ino ~group ~near in
+            assert (b >= 0) (* guarded by the free-count check *);
+            push_block t node b
           done;
           node.size <- size;
           Ok ()
@@ -732,13 +788,13 @@ let clone t =
     groups =
       Array.map
         (fun g ->
-          { g with block_used = Array.copy g.block_used;
-            inode_used = Array.copy g.inode_used })
+          { g with block_map = Bytes.copy g.block_map;
+            inode_map = Bytes.copy g.inode_map;
+            owners = Bytes.copy g.owners })
         t.groups;
     inodes;
     arena = Array.copy t.arena;
     free_chunks = Array.copy t.free_chunks;
-    owner = Array.copy t.owner;
     (* dirty_inos / dirty_groups are immutable lists: safe to share *)
   }
 
@@ -749,7 +805,8 @@ let clone t =
    there is no collision risk of reusing a verdict across genuinely
    different states.  Arena chunks are position-compared, which is exact
    for images of a common lineage (consecutive boundaries of one run)
-   and merely conservative otherwise. *)
+   and merely conservative otherwise.  A group's ownership map never made
+   equals one that owns nothing. *)
 let equal a b =
   let prefix_equal xs ys n =
     let rec go i = i >= n || (xs.(i) = ys.(i) && go (i + 1)) in
@@ -773,6 +830,22 @@ let equal a b =
     && na.parent = nb.parent && na.pname = nb.pname && na.d_epoch = nb.d_epoch
     && equal_kind na.kind nb.kind
   in
+  let unowned o = Bytes.for_all (fun c -> c = '\000') o in
+  let equal_owners oa ob =
+    if Bytes.length oa = 0 then unowned ob
+    else if Bytes.length ob = 0 then unowned oa
+    else Bytes.equal oa ob
+  in
+  let equal_group ga gb =
+    ga.index = gb.index && ga.first_block = gb.first_block
+    && ga.data_blocks = gb.data_blocks
+    && Bytes.equal ga.block_map gb.block_map
+    && ga.block_free = gb.block_free && ga.rotor = gb.rotor
+    && Bytes.equal ga.inode_map gb.inode_map
+    && ga.inode_free = gb.inode_free && ga.inode_hint = gb.inode_hint
+    && ga.g_epoch = gb.g_epoch
+    && equal_owners ga.owners gb.owners
+  in
   a.cfg = b.cfg && a.root = b.root
   && a.total_free_blocks = b.total_free_blocks
   && a.total_free_inodes = b.total_free_inodes
@@ -780,8 +853,8 @@ let equal a b =
   && a.dirty_inos = b.dirty_inos && a.dirty_groups = b.dirty_groups
   && a.arena_used = b.arena_used
   && prefix_equal a.arena b.arena a.arena_used
-  && a.free_chunks = b.free_chunks && a.owner = b.owner
-  && a.groups = b.groups (* structural: arrays and scalars only *)
+  && a.free_chunks = b.free_chunks
+  && Array.for_all2 equal_group a.groups b.groups (* same cfg: same length *)
   && Hashtbl.length a.inodes = Hashtbl.length b.inodes
   && (try
         Hashtbl.iter
@@ -834,22 +907,20 @@ let check_full t =
   List.iter
     (fun ino ->
       let g = t.groups.(ino / cfg.inodes_per_group) in
-      if not g.inode_used.(ino mod cfg.inodes_per_group) then
+      if not (bit g.inode_map (ino mod cfg.inodes_per_group)) then
         add "inode %d exists but its slot is free in the bitmap" ino)
     (sorted_inos t);
   let total_free_inodes = ref 0 in
   Array.iter
     (fun g ->
       let used = ref 0 in
-      Array.iteri
-        (fun slot u ->
-          if u then begin
-            incr used;
-            let ino = (g.index * cfg.inodes_per_group) + slot in
-            if not (Hashtbl.mem t.inodes ino) then
-              add "inode slot %d allocated but no inode exists" ino
-          end)
-        g.inode_used;
+      iter_set
+        (fun slot ->
+          incr used;
+          let ino = (g.index * cfg.inodes_per_group) + slot in
+          if not (Hashtbl.mem t.inodes ino) then
+            add "inode slot %d allocated but no inode exists" ino)
+        g.inode_map;
       let free = cfg.inodes_per_group - !used in
       if free <> g.inode_free then
         add "group %d: inode free count %d but bitmap says %d" g.index g.inode_free free;
@@ -878,7 +949,7 @@ let check_full t =
           let offset = b - g.first_block in
           if offset < 0 || offset >= g.data_blocks then
             add "inode %d: block %d lies in an inode-table region" ino b
-          else if not g.block_used.(offset) then
+          else if not (bit g.block_map offset) then
             add "inode %d: block %d is free in the bitmap" ino b
         end
       done)
@@ -887,14 +958,12 @@ let check_full t =
   Array.iter
     (fun g ->
       let used = ref 0 in
-      Array.iteri
-        (fun offset u ->
-          if u then begin
-            incr used;
-            let b = g.first_block + offset in
-            if not (Hashtbl.mem owner b) then add "block %d allocated but unowned" b
-          end)
-        g.block_used;
+      iter_set
+        (fun offset ->
+          incr used;
+          let b = g.first_block + offset in
+          if not (Hashtbl.mem owner b) then add "block %d allocated but unowned" b)
+        g.block_map;
       let free = g.data_blocks - !used in
       if free <> g.block_free then
         add "group %d: block free count %d but bitmap says %d" g.index g.block_free free;
@@ -1003,7 +1072,7 @@ let check_incremental t cp =
       (fun ino ->
         if Hashtbl.mem t.inodes ino then begin
           let g = t.groups.(ino / cfg.inodes_per_group) in
-          if not g.inode_used.(ino mod cfg.inodes_per_group) then
+          if not (bit g.inode_map (ino mod cfg.inodes_per_group)) then
             add "inode %d exists but its slot is free in the bitmap" ino
         end)
       dirty;
@@ -1012,15 +1081,13 @@ let check_incremental t cp =
       (fun gi ->
         let g = t.groups.(gi) in
         let used = ref 0 in
-        Array.iteri
-          (fun slot u ->
-            if u then begin
-              incr used;
-              let ino = (g.index * cfg.inodes_per_group) + slot in
-              if not (Hashtbl.mem t.inodes ino) then
-                add "inode slot %d allocated but no inode exists" ino
-            end)
-          g.inode_used;
+        iter_set
+          (fun slot ->
+            incr used;
+            let ino = (g.index * cfg.inodes_per_group) + slot in
+            if not (Hashtbl.mem t.inodes ino) then
+              add "inode slot %d allocated but no inode exists" ino)
+          g.inode_map;
         let free = cfg.inodes_per_group - !used in
         if free <> g.inode_free then
           add "group %d: inode free count %d but bitmap says %d" g.index g.inode_free
@@ -1047,14 +1114,15 @@ let check_incremental t cp =
             if b < 0 || b >= cfg.total_blocks then
               add "inode %d: block %d out of range" ino b
             else begin
-              let ow = t.owner.(b) in
-              if ow <> ino && ow >= 0 then
-                add "block %d owned by inodes %d and %d" b (min ow ino) (max ow ino);
               let g = group_of_block t b in
               let offset = b - g.first_block in
+              (* inode-table blocks are never owned *)
+              let ow = if offset < 0 then -1 else owner g offset in
+              if ow <> ino && ow >= 0 then
+                add "block %d owned by inodes %d and %d" b (min ow ino) (max ow ino);
               if offset < 0 || offset >= g.data_blocks then
                 add "inode %d: block %d lies in an inode-table region" ino b
-              else if not g.block_used.(offset) then
+              else if not (bit g.block_map offset) then
                 add "inode %d: block %d is free in the bitmap" ino b
             end
           done)
@@ -1064,14 +1132,12 @@ let check_incremental t cp =
       (fun gi ->
         let g = t.groups.(gi) in
         let used = ref 0 in
-        Array.iteri
-          (fun offset u ->
-            if u then begin
-              incr used;
-              let b = g.first_block + offset in
-              if t.owner.(b) < 0 then add "block %d allocated but unowned" b
-            end)
-          g.block_used;
+        iter_set
+          (fun offset ->
+            incr used;
+            if owner g offset < 0 then
+              add "block %d allocated but unowned" (g.first_block + offset))
+          g.block_map;
         let free = g.data_blocks - !used in
         if free <> g.block_free then
           add "group %d: block free count %d but bitmap says %d" g.index g.block_free
@@ -1096,32 +1162,38 @@ let break_one t ~seed =
   let cfg = t.cfg in
   let candidates = ref [] in
   let offer name f = candidates := (name, f) :: !candidates in
-  let owned_blocks =
-    lazy
-      (let acc = ref [] in
-       Array.iteri (fun b ow -> if ow >= 0 then acc := b :: !acc) t.owner;
-       List.rev !acc)
+  (* (block, owning inode) pairs in block order *)
+  let owned =
+    let acc = ref [] in
+    Array.iter
+      (fun g ->
+        if Bytes.length g.owners > 0 then
+          for offset = 0 to g.data_blocks - 1 do
+            let ow = owner g offset in
+            if ow >= 0 then acc := (g.first_block + offset, ow) :: !acc
+          done)
+      t.groups;
+    List.rev !acc
   in
-  (match Lazy.force owned_blocks with
+  (match owned with
   | [] -> ()
-  | blocks ->
+  | _ ->
     offer "clear used-block bit" (fun () ->
-        let b = List.nth blocks (abs seed mod List.length blocks) in
+        let b, ow = List.nth owned (abs seed mod List.length owned) in
         let g = group_of_block t b in
-        g.block_used.(b - g.first_block) <- false;
+        clear_bit g.block_map (b - g.first_block);
         mark_group t g;
-        (match Hashtbl.find_opt t.inodes t.owner.(b) with
+        (match Hashtbl.find_opt t.inodes ow with
         | Some node -> mark_ino t node
-        | None -> mark_removed t t.owner.(b));
+        | None -> mark_removed t ow);
         Printf.sprintf "cleared bitmap bit of owned block %d" b));
   (let g = t.groups.(abs seed mod Array.length t.groups) in
    if g.block_free > 0 then
      offer "set free-block bit" (fun () ->
-         let offset = ref 0 in
-         while g.block_used.(!offset) do incr offset done;
-         g.block_used.(!offset) <- true;
+         let offset = find_clear g.block_map 0 g.data_blocks in
+         set_bit g.block_map offset;
          mark_group t g;
-         Printf.sprintf "leaked free block %d" (g.first_block + !offset)));
+         Printf.sprintf "leaked free block %d" (g.first_block + offset)));
   offer "skew group free count" (fun () ->
       let g = t.groups.(abs seed mod Array.length t.groups) in
       g.block_free <- g.block_free + 1;
@@ -1135,7 +1207,7 @@ let break_one t ~seed =
      let pick = List.nth inos (abs seed mod List.length inos) in
      offer "clear inode slot" (fun () ->
          let g = t.groups.(pick / cfg.inodes_per_group) in
-         g.inode_used.(pick mod cfg.inodes_per_group) <- false;
+         clear_bit g.inode_map (pick mod cfg.inodes_per_group);
          g.inode_free <- g.inode_free + 1;
          t.total_free_inodes <- t.total_free_inodes + 1;
          mark_group t g;
@@ -1169,22 +1241,19 @@ let break_one t ~seed =
            Printf.sprintf "grew inode %d size past its block count" fino);
        offer "steal an owned block" (fun () ->
            let node = get_inode t fino in
-           let victim = ref (-1) in
-           Array.iteri
-             (fun b ow -> if !victim < 0 && ow >= 0 && ow <> fino then victim := b)
-             t.owner;
-           if !victim < 0 then "no block to steal (no-op)"
-           else begin
+           match List.find_opt (fun (_, ow) -> ow <> fino) owned with
+           | None -> "no block to steal (no-op)"
+           | Some (victim, _) ->
              let old = nth_block t node (node.nblocks - 1) in
-             t.arena.(node.ext_off + node.nblocks - 1) <- !victim;
+             t.arena.(node.ext_off + node.nblocks - 1) <- victim;
              (* the abandoned block stays allocated in its bitmap but no
                 extent references it any more *)
-             t.owner.(old) <- -1;
+             let g = group_of_block t old in
+             clear_owner g (old - g.first_block);
              mark_ino t node;
-             mark_group t (group_of_block t old);
-             Printf.sprintf "inode %d now claims block %d, abandoning %d" fino
-               !victim old
-           end)));
+             mark_group t g;
+             Printf.sprintf "inode %d now claims block %d, abandoning %d" fino victim
+               old)));
   (let dirs =
      List.filter
        (fun i ->

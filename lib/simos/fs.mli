@@ -11,14 +11,19 @@
     - a file's inode is the lowest free inode slot in its directory's
       group, so creation order matches i-number order in a fresh directory;
     - data blocks are allocated contiguously after the file's previous
-      block when possible, else first-fit within the inode's group, then
-      spilling into following groups;
+      block when possible, else next-fit from the rotor of the inode's
+      group, then spilling into following groups;
     - deletions free slots for first-fit reuse, which is exactly what makes
       i-number ordering decay as the file system {e ages}.
 
     Each cylinder group reserves its leading blocks for the inode table, so
     inodes and data live in separate regions of the group (the effect that
-    makes stat-then-read faster than interleaving, Section 4.2.2). *)
+    makes stat-then-read faster than interleaving, Section 4.2.2).
+
+    As in FFS's cylinder-group block, a group's block and inode bitmaps
+    are bits, and its block-ownership map (4 bytes per data block) is made
+    at the group's first block allocation: a fresh volume costs a bit per
+    block and slot, and only groups that hold data cost more. *)
 
 type t
 
@@ -27,7 +32,9 @@ type error = Enoent | Eexist | Enotdir | Eisdir | Enotempty | Enospc
 val error_to_string : error -> string
 
 type config = {
-  total_blocks : int;  (** volume size in 4 KB blocks *)
+  total_blocks : int;
+      (** volume size in 4 KB blocks; blocks past the last whole group
+          belong to no group and are never allocated *)
   blocks_per_group : int;
   inodes_per_group : int;
 }
@@ -142,7 +149,8 @@ val clone : t -> t
 
 val equal : t -> t -> bool
 (** Exact structural equality of the complete volume state (everything
-    {!clone} copies).  Two equal states are indistinguishable to every
+    {!clone} copies; an ownership map never made equals one that owns
+    nothing).  Two equal states are indistinguishable to every
     operation in this interface, so a deterministic computation over one
     (an fsck, a repair, a whole re-run) may reuse the verdict computed
     over the other — the memoisation key of the snapshot-mode explorer.

@@ -235,6 +235,49 @@ let test_inode_block_location () =
   let data = (Fs.layout_of_file fs ~ino).(0) in
   Alcotest.(check bool) "data after inode table" true (data >= 32)
 
+(* A volume whose size is not a multiple of the group size ends in a tail
+   past the last whole group.  Those blocks belong to no group and are
+   never free: a file that fills the last group up to its final block
+   grows into the next group with free space, not into the tail. *)
+let test_tail_past_last_group () =
+  let fs = Fs.create { Fs.total_blocks = 20000; blocks_per_group = 8192; inodes_per_group = 1024 } in
+  ignore (ok (Fs.mkdir fs "/d"));
+  let ino = ok (Fs.create_file fs "/d/f") in
+  Alcotest.(check int) "file in group 1" 1 (Fs.group_of_ino ino ~inodes_per_group:1024);
+  ok (Fs.resize fs ~ino ~size:(8160 * kib4));
+  let layout = Fs.layout_of_file fs ~ino in
+  Alcotest.(check int) "group 1 filled to its last block" 16383 layout.(8159);
+  ok (Fs.resize fs ~ino ~size:(8161 * kib4));
+  Alcotest.(check int) "spills to group 0's first data block" 32
+    (Fs.layout_of_file fs ~ino).(8160);
+  Alcotest.(check int) "group 0 has one block fewer" 8159 (Fs.free_blocks fs);
+  Alcotest.(check (list string)) "consistent" [] (Fs.check_full fs)
+
+(* Two volumes that differ only in which group once held a block.  A
+   group's ownership map is made at its first block allocation, and a map
+   never made must equal one that owns nothing again, or the crash
+   explorer's memoisation would miss equal states. *)
+let test_equal_unmade_owner_map () =
+  let volume ~grow_in =
+    let fs = small_fs () in
+    ignore (ok (Fs.mkdir fs "/x"));
+    ignore (ok (Fs.mkdir fs "/y"));
+    let fx = ok (Fs.create_file fs "/x/f") in
+    let fy = ok (Fs.create_file fs "/y/f") in
+    ok (Fs.resize fs ~ino:(if grow_in = "/x" then fx else fy) ~size:kib4);
+    ok (Fs.unlink fs "/x/f");
+    ok (Fs.unlink fs "/y/f");
+    Fs.crash fs (* rotors back to 0 *);
+    fs
+  in
+  let a = volume ~grow_in:"/x" and b = volume ~grow_in:"/y" in
+  Alcotest.(check bool) "x and y in different groups" true
+    (ok (Fs.lookup a "/x") / 1024 <> ok (Fs.lookup a "/y") / 1024);
+  Alcotest.(check bool) "equal" true (Fs.equal a b);
+  let f = ok (Fs.create_file a "/x/g") in
+  ok (Fs.resize a ~ino:f ~size:kib4);
+  Alcotest.(check bool) "a held block differs" false (Fs.equal a b)
+
 let prop_no_double_allocation =
   (* Whatever sequence of creates/resizes/unlinks runs, no two live files
      may share a block, and free accounting must stay exact. *)
@@ -314,5 +357,7 @@ let suite =
       test_files_follow_directory_group;
     Alcotest.test_case "enospc" `Quick test_enospc;
     Alcotest.test_case "inode block location" `Quick test_inode_block_location;
+    Alcotest.test_case "tail past the last group" `Quick test_tail_past_last_group;
+    Alcotest.test_case "equal: unmade ownership map" `Quick test_equal_unmade_owner_map;
     QCheck_alcotest.to_alcotest prop_no_double_allocation;
   ]

@@ -15,11 +15,19 @@ let must = function
   | Ok v -> v
   | Error e -> Alcotest.failf "fs error: %s" (Fs.error_to_string e)
 
+(* Two volume shapes: the default geometry, and an odd one whose groups
+   hold 13 data blocks (not a multiple of 8) and whose volume ends in a
+   5-block tail past the last whole group, so random workloads spill
+   across groups, wrap the next-fit scan and grow files against the
+   tail. *)
+let default_cfg = Fs.default_config ~total_blocks:16384
+let odd_cfg = { Fs.total_blocks = (3 * 14) + 5; blocks_per_group = 14; inodes_per_group = 16 }
+
 (* A consistent base image: /dir with six files of one to six blocks.
    The checkpoint contract requires a state that passes the full fsck —
    asserted, not assumed. *)
-let base () =
-  let fs = Fs.create (Fs.default_config ~total_blocks:16384) in
+let base ?(cfg = default_cfg) () =
+  let fs = Fs.create cfg in
   ignore (must (Fs.mkdir fs "/dir"));
   for i = 0 to 5 do
     let ino = must (Fs.create_file fs (Printf.sprintf "/dir/f%d" i)) in
@@ -77,28 +85,31 @@ let gen_program =
 let prop_differential =
   QCheck2.Test.make ~name:"check_incremental == check_full on random workloads"
     ~count:150 gen_program (fun (ops, break) ->
-      let fs = base () in
-      let cp = Fs.checkpoint fs in
-      List.iter (apply fs) ops;
-      let broke =
-        (* a candidate may find nothing to damage on this state ("(no-op)") *)
-        match break with
-        | None -> None
-        | Some seed -> (
-          match Fs.break_one fs ~seed with
-          | Some d when not (String.ends_with ~suffix:"(no-op)" d) -> Some d
-          | Some _ | None -> None)
-      in
-      let full = List.sort compare (Fs.check_full fs) in
-      let incr = List.sort compare (Fs.check_incremental fs cp) in
-      if full <> incr then
-        QCheck2.Test.fail_reportf "checkers disagree\nfull: %s\nincr: %s"
-          (String.concat "; " full) (String.concat "; " incr);
-      (* a corruption must be *caught*, not just agreed upon *)
-      (match broke with
-      | Some damage when full = [] ->
-        QCheck2.Test.fail_reportf "corruption missed by both checkers: %s" damage
-      | Some _ | None -> ());
+      List.iter
+        (fun cfg ->
+          let fs = base ~cfg () in
+          let cp = Fs.checkpoint fs in
+          List.iter (apply fs) ops;
+          let broke =
+            (* a candidate may find nothing to damage on this state ("(no-op)") *)
+            match break with
+            | None -> None
+            | Some seed -> (
+              match Fs.break_one fs ~seed with
+              | Some d when not (String.ends_with ~suffix:"(no-op)" d) -> Some d
+              | Some _ | None -> None)
+          in
+          let full = List.sort compare (Fs.check_full fs) in
+          let incr = List.sort compare (Fs.check_incremental fs cp) in
+          if full <> incr then
+            QCheck2.Test.fail_reportf "checkers disagree (%d-block volume)\nfull: %s\nincr: %s"
+              cfg.Fs.total_blocks (String.concat "; " full) (String.concat "; " incr);
+          (* a corruption must be *caught*, not just agreed upon *)
+          match broke with
+          | Some damage when full = [] ->
+            QCheck2.Test.fail_reportf "corruption missed by both checkers: %s" damage
+          | Some _ | None -> ())
+        [ default_cfg; odd_cfg ];
       true)
 
 (* ---- named edge cases ---- *)

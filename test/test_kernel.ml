@@ -404,6 +404,30 @@ let test_counters_track_bytes () =
   Alcotest.(check int) "bytes read" (1 * mib) c.Kernel.c_bytes_read;
   Alcotest.(check int) "bytes written" (1 * mib) c.Kernel.c_bytes_written
 
+(* Words [f] allocates: minor-heap words plus the words put straight into
+   the major heap (major minus promoted).  [Gc.minor_words] is exact,
+   unlike [Gc.quick_stat]'s minor count, which on OCaml 5.1 moves only at
+   minor collections. *)
+let words_allocated f =
+  let direct () =
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
+  in
+  let m0 = Gc.minor_words () and d0 = direct () in
+  let v = f () in
+  (v, Gc.minor_words () -. m0 +. (direct () -. d0))
+
+(* The file systems' per-block maps are bits and bytes made as the run
+   touches them, so a paper-setup boot (four whole 8.8 GB volumes) stays
+   far below the 19 M words that one word per block costs. *)
+let test_boot_allocation () =
+  let engine = Engine.create () in
+  let k, words =
+    words_allocated (fun () -> Kernel.boot ~engine ~platform:Platform.linux_2_2 ~seed:11 ())
+  in
+  Alcotest.(check int) "four volumes" 4 (Kernel.data_disks k);
+  if words >= 1e6 then Alcotest.failf "boot allocated %.0f words, want < 1 M" words
+
 let suite =
   [
     Alcotest.test_case "create/write/read" `Quick test_create_write_read;
@@ -432,4 +456,5 @@ let suite =
     Alcotest.test_case "compute contends for cpus" `Quick test_compute_contends_for_cpus;
     Alcotest.test_case "gettime resolution" `Quick test_gettime_resolution;
     Alcotest.test_case "counters track bytes" `Quick test_counters_track_bytes;
+    Alcotest.test_case "boot allocates under 1 M words" `Quick test_boot_allocation;
   ]
